@@ -135,7 +135,8 @@ def cmd_stress(args) -> int:
     basis = st.stress_space(c, emb, args.degree)
     if args.embedding == "generic":
         # two-seed rank stability certificate
-        other = st.stress_dim(c, st.generic_embedding(c, args.seed + 1_000_003), args.degree)
+        second = st.generic_embedding(c, args.seed + st.SECOND_SEED_OFFSET)
+        other = st.stress_dim(c, second, args.degree)
         if other != basis.dim:
             raise st.DegenerateEmbeddingError(
                 f"degenerate embedding: dims {basis.dim} vs {other}")

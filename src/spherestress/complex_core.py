@@ -418,15 +418,20 @@ def complex_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "facets" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("facets"), list):
         raise ValueError("complex document needs a 'facets' list")
+    if not all(isinstance(f, list) for f in doc["facets"]):
+        raise ValueError("every facet must be a list of vertex labels")
     c = from_facets(doc["facets"])
     name = doc.get("name", "")
     coords = None
     if "coordinates" in doc:
         coords = {}
         for v, vals in doc["coordinates"].items():
-            coords[int(v)] = tuple(Fraction(s) for s in vals)
+            try:
+                coords[int(v)] = tuple(Fraction(s) for s in vals)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"coordinate of vertex {v} has a zero denominator") from exc
         if set(coords) != set(c.vertices):
             raise ValueError("coordinates must cover exactly the vertices")
     return c, name, coords

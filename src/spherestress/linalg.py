@@ -1,10 +1,21 @@
-"""Exact sparse linear algebra over the rationals and over GF(2).
+"""Exact sparse linear algebra over the rationals, GF(p) and GF(2).
 
 Everything in this module is exact: rational rows are dicts mapping a
 (hashable, orderable) column key to a nonzero rational, GF(2) rows are
 Python integers used as bit masks.  Rational arithmetic uses gmpy2.mpq
 when available and falls back to fractions.Fraction otherwise; results
 are converted back to Fraction at the public boundaries of the package.
+
+Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
+a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p).  When no
+denominator vanishes mod p, every row can be scaled by a unit to an
+integer row, and a nonzero minor mod p is a nonzero integer minor, so
+rank_p <= rank_Q.  That one inequality is the whole certificate:
+``kernel_basis`` returns the zero kernel without elimination over Q
+when rank_p equals the column count, and ``bounded_rank`` returns b
+without elimination over Q when the caller knows rank_Q <= b and
+rank_p = b.  In every other case (a denominator divisible by p, or a
+rank mod p short of the bound) the answer comes from elimination over Q.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 QQ0 = QQ(0)
 QQ1 = QQ(1)
 
+PRIME = 2 ** 61 - 1  # a Mersenne prime; read at call time by modp_rank
+
 
 def to_fraction(x) -> Fraction:
     """Convert an internal rational (mpq or Fraction) to a Fraction."""
@@ -28,7 +41,9 @@ def to_fraction(x) -> Fraction:
 
 
 class SparseRREF:
-    """Incremental reduced row echelon form of a sparse rational matrix.
+    """Incremental reduced row echelon form of a sparse rational matrix,
+    or, given a prime ``modulus``, of a sparse matrix over GF(modulus)
+    whose entries are ints in [0, modulus).
 
     Rows are inserted one at a time and the stored rows are kept fully
     reduced: every pivot entry is 1 and each pivot column is zero in all
@@ -44,7 +59,8 @@ class SparseRREF:
     ``forbid`` are never chosen as pivots.
     """
 
-    def __init__(self, forbid=()):
+    def __init__(self, forbid=(), modulus=None):
+        self.modulus = modulus
         self.rows: list[dict] = []
         self.pivot_cols: list = []      # pivot column of rows[i]
         self.row_of_pivot: dict = {}    # pivot column -> row index
@@ -57,17 +73,23 @@ class SparseRREF:
 
     def reduce(self, vec: dict) -> dict:
         """Return the residual of ``vec`` after eliminating all pivots."""
-        v = {c: QQ(x) for c, x in vec.items() if x}
+        p = self.modulus
+        if p is None:
+            zero, v = QQ0, {c: QQ(x) for c, x in vec.items() if x}
+        else:
+            zero, v = 0, {c: x for c, x in vec.items() if x}
         hits = [c for c in v if c in self.row_of_pivot]
         for c in hits:
-            coef = v.pop(c, QQ0)
+            coef = v.pop(c, zero)
             if not coef:
                 continue
             row = self.rows[self.row_of_pivot[c]]
             for cc, val in row.items():
                 if cc == c:
                     continue
-                nv = v.get(cc, QQ0) - coef * val
+                nv = v.get(cc, zero) - coef * val
+                if p is not None:
+                    nv %= p
                 if nv:
                     v[cc] = nv
                 else:
@@ -87,8 +109,13 @@ class SparseRREF:
         if not eligible:
             raise Unreducible(res)
         pc = min(eligible, key=lambda c: (len(self._col_rows.get(c, ())), c))
-        inv = QQ1 / res[pc]
-        new_row = {c: val * inv for c, val in res.items()}
+        p = self.modulus
+        if p is None:
+            zero, inv = QQ0, QQ1 / res[pc]
+            new_row = {c: val * inv for c, val in res.items()}
+        else:
+            zero, inv = 0, pow(res[pc], -1, p)
+            new_row = {c: val * inv % p for c, val in res.items()}
         idx = len(self.rows)
         # eliminate the new pivot column from all stored rows
         for ri in list(self._col_rows.get(pc, ())):
@@ -98,7 +125,9 @@ class SparseRREF:
             for cc, val in new_row.items():
                 if cc == pc:
                     continue
-                nv = row.get(cc, QQ0) - coef * val
+                nv = row.get(cc, zero) - coef * val
+                if p is not None:
+                    nv %= p
                 if nv:
                     if cc not in row:
                         self._col_rows.setdefault(cc, set()).add(ri)
@@ -128,6 +157,45 @@ def rank_of(vectors) -> int:
     for v in vectors:
         rr.insert(v)
     return rr.rank
+
+
+def modp_rank(rows):
+    """Rank over GF(PRIME) of an iterable of sparse rational rows, a
+    proven lower bound on their rank over Q; None (no certificate) when
+    some denominator is divisible by PRIME."""
+    p = PRIME
+    inverses: dict = {}
+    rr = SparseRREF(modulus=p)
+    for row in rows:
+        vec = {}
+        for c, x in row.items():
+            den = int(x.denominator)
+            inv = inverses.get(den)
+            if inv is None:
+                if not den % p:
+                    return None
+                inv = inverses[den] = pow(den % p, -1, p)
+            vec[c] = int(x.numerator) * inv % p
+        rr.insert(vec)
+    return rr.rank
+
+
+def bounded_rank(vectors, bound: int) -> int:
+    """Exact rank over Q of vectors whose rank is known to be at most
+    ``bound``.
+
+    A rank mod p equal to the bound proves the rank; a rank mod p above
+    it proves the caller's bound wrong and raises ValueError.  Otherwise
+    (no certificate, or a shorter rank mod p) the rank is computed over Q.
+    """
+    vectors = list(vectors)
+    r = modp_rank(vectors)
+    if r is not None:
+        if r > bound:
+            raise ValueError(f"rank mod p is {r}, above the claimed bound {bound}")
+        if r == bound:
+            return r
+    return rank_of(vectors)
 
 
 def canonicalize(vectors: list[dict]) -> list[dict]:
@@ -163,10 +231,15 @@ def kernel_basis(rows, columns) -> list[dict]:
     """Exact kernel basis of the matrix made of ``rows`` over ``columns``.
 
     ``rows`` is an iterable of sparse vectors (dicts keyed by column),
-    ``columns`` the full ordered list of column keys.  The result is the
-    canonical reduced-echelon basis of the kernel, so it is independent
-    of row order and of pivot choices made during elimination.
+    ``columns`` the full ordered list of column keys, which must hold
+    every key the rows use.  The result is the canonical reduced-echelon
+    basis of the kernel, so it is independent of row order and of pivot
+    choices made during elimination.  A rank mod p equal to the column
+    count certifies the zero kernel, with no elimination over Q.
     """
+    rows = list(rows)
+    if modp_rank(rows) == len(columns):
+        return []
     rr = SparseRREF()
     for r in rows:
         rr.insert(r)

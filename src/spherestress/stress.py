@@ -4,7 +4,14 @@ A degree-k stress on an embedded complex is a homogeneous polynomial in
 the vertex variables, every term supported on a face, annihilated by
 the derivative operators of the d coordinate linear forms and of the
 all-ones form.  Bases are exact kernels of the stacked operator matrix,
-put in reduced echelon form for reproducibility.
+put in reduced echelon form for reproducibility.  Dimensions and ranks
+need no basis: ``stress_dim`` is the column count minus the rank of the
+operator matrix, and socle dimensions compare each derivative span with
+the stress space it lies in.  Both ranks go through the mod-p
+certificate of ``linalg`` (a rank mod p is a lower bound on the rank
+over Q), which settles a zero kernel or a span as large as its known
+bound without elimination over Q, and otherwise falls back to exact
+elimination over Q.  Every answer is the exact rational one.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -30,6 +37,10 @@ from .linalg import QQ, to_fraction
 from .sequences import SequenceVerdict
 
 Monomial = tuple[int, ...]
+
+
+# certified_stress_dims and its callers check seed s against s + this
+SECOND_SEED_OFFSET = 1_000_003
 
 
 class DegenerateEmbeddingError(RuntimeError):
@@ -239,6 +250,16 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int,
     if k < 1:
         raise ValueError("stress spaces are computed for degree k >= 1")
     cols = face_monomials(c, k) if monomials is None else monomials
+    kernel = linalg.kernel_basis(_operator_rows(e, cols), range(len(cols)))
+    polys = tuple(
+        StressPolynomial(k, {cols[ci]: to_fraction(val) for ci, val in sorted(vec.items())})
+        for vec in kernel)
+    return StressBasis(c, e, k, polys)
+
+
+def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, object]]:
+    """Rows of the stacked operator matrix over the columns ``cols``: one
+    per (linear form, degree-(k-1) monomial) pair that some column hits."""
     forms = theta_forms(e)
     rows: dict[tuple[int, Monomial], dict[int, object]] = {}
     for ci, mu in enumerate(cols):
@@ -250,17 +271,16 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int,
                     continue
                 row = rows.setdefault((j, nu), {})
                 row[ci] = row.get(ci, QQ(0)) + QQ(mult) * QQ(a)
-    kernel = linalg.kernel_basis(rows.values(), range(len(cols)))
-    polys = tuple(
-        StressPolynomial(k, {cols[ci]: to_fraction(val) for ci, val in sorted(vec.items())})
-        for vec in kernel)
-    return StressBasis(c, e, k, polys)
+    return list(rows.values())
 
 
 def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
+    """Dimension of the degree-k stress space: columns minus the exact
+    rank of the operator matrix; no basis is built."""
     if k == 0:
         return 1  # the constants, so derivative chains terminate cleanly
-    return stress_space(c, e, k).dim
+    cols = face_monomials(c, k)
+    return len(cols) - linalg.bounded_rank(_operator_rows(e, cols), len(cols))
 
 
 def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
@@ -268,7 +288,7 @@ def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
     """Stress dimension under two distinct seeds; a mismatch means at
     least one embedding is degenerate and raises."""
     if second_seed is None:
-        second_seed = seed + 1_000_003
+        second_seed = seed + SECOND_SEED_OFFSET
     d1 = stress_dim(c, generic_embedding(c, seed), k)
     d2 = stress_dim(c, generic_embedding(c, second_seed), k)
     if d1 != d2:
@@ -282,9 +302,15 @@ def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
-                        basis_above: StressBasis | None = None) -> int:
+                        basis_above: StressBasis | None = None,
+                        bound: int | None = None) -> int:
     """Rank of {d/dx_v omega : omega in a basis of the degree-(k+1)
     space, v a vertex} inside the degree-k coefficient space.
+
+    These derivatives are degree-k stresses, so the rank is at most the
+    degree-k stress dimension; a caller that knows it passes it as
+    ``bound``, and a rank mod p reaching the bound then proves the rank
+    without elimination over Q.
 
     Convention at k = 0: the span of first derivatives of linear
     stresses is the constants, so the dimension is 1 exactly when the
@@ -298,7 +324,9 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
             dv = _apply_form(omega.terms, {v: Fraction(1)})
             if dv:
                 vectors.append({m: QQ(q) for m, q in dv.items()})
-    return linalg.rank_of(vectors)
+    if bound is None:
+        return linalg.rank_of(vectors)
+    return linalg.bounded_rank(vectors, bound)
 
 
 def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
@@ -311,7 +339,7 @@ def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
     out = []
     for k in range(half + 1):
         dim_k = 1 if k == 0 else spaces[k].dim
-        span_k = derivative_span_dim(c, e, k, basis_above=spaces[k + 1])
+        span_k = derivative_span_dim(c, e, k, basis_above=spaces[k + 1], bound=dim_k)
         out.append(dim_k - span_k)
     return out
 

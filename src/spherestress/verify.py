@@ -207,7 +207,7 @@ def rows_stress(seed: int) -> list[CheckRow]:
         d = c.dim + 1
         g = g_vector(c)
         e1 = st.generic_embedding(c, seed)
-        e2 = st.generic_embedding(c, seed + 1_000_003)
+        e2 = st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET)
         for k in range(1, d // 2 + 1):
             d1 = st.stress_dim(c, e1, k)
             d2 = st.stress_dim(c, e2, k)

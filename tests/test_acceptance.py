@@ -9,9 +9,10 @@ from fractions import Fraction
 from math import comb
 
 import spherestress as ss
+from spherestress.stress import SECOND_SEED_OFFSET
 
 SEED = 17
-SEED2 = SEED + 1_000_003
+SEED2 = SEED + SECOND_SEED_OFFSET
 
 RESIDUAL_NAMES = (["octahedron", "cross-4", "cross-5", "cross-6", "K-2-4", "K-2-5"]
                   + [f"cyclejoin-{n}-{m}" for n in range(3, 7) for m in range(n, 7)])

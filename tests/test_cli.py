@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -7,6 +9,9 @@ import pytest
 import spherestress as ss
 from spherestress import cli
 from spherestress.verify import EXPLAIN
+
+
+ORACLE_SHA256 = "0b237a4f71e20c9c567f16b64205800ff2e3c491a86a4bdc4421709c9fafed55"
 
 
 def run(capsys, *argv):
@@ -38,7 +43,6 @@ class TestInfo:
         path.write_text(ss.complex_to_json(ss.cycle(5), name="pentagon"))
         code, out, _ = run(capsys, "info", str(path))
         assert code == 0 and "pentagon" in out
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO('{"facets": [[1,2],[2,3],[1,3]]}'))
         code, out, _ = run(capsys, "info", "-")
         assert code == 0 and "h     = [1, 1, 1]" in out
@@ -48,6 +52,18 @@ class TestInfo:
         path.write_text("{broken")
         code, _, err = run(capsys, "info", str(path))
         assert code == 2 and "malformed" in err
+
+    def test_non_list_facets_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"facets": 5}'))
+        code, _, err = run(capsys, "info", "-")
+        assert code == 2 and "facets" in err
+
+    def test_zero_denominator_coordinate_exits_2(self, capsys, monkeypatch):
+        doc = {"facets": [[1, 2], [2, 3], [1, 3]],
+               "coordinates": {"1": ["1/0"], "2": ["1"], "3": ["2"]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, _, err = run(capsys, "info", "-")
+        assert code == 2 and "zero denominator" in err
 
 
 class TestCatalog:
@@ -200,8 +216,10 @@ class TestVerify:
 @pytest.mark.slow
 class TestVerifyAll:
     def test_all_families_pass_and_ids_covered(self, capsys):
-        code, out, _ = run(capsys, "verify", "--all", "--json")
+        code, out, _ = run(capsys, "verify", "--all", "--json", "--seed", "17")
         assert code == 0
+        # the regression oracle: any changed row changes these bytes
+        assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256
         doc = json.loads(out)
         assert doc["ok"] is True
         used = {row["id"] for row in doc["checks"]}

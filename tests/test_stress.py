@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import spherestress as ss
-from spherestress.stress import basis_to_jsonable
+from spherestress import linalg
+from spherestress.stress import Embedding, basis_to_jsonable
 
 
 def build(name):
@@ -257,3 +258,45 @@ class TestConeLift:
     def test_hexagon(self):
         rep = ss.cone_lift_check(ss.cycle(6), 1, seed=12)
         assert rep.dim_base == 3 and rep.all_lifted
+
+
+class TestModpFallback:
+    """With the prime forced to 3 the mod-p certificate mostly fails,
+    through a denominator divisible by 3 or a rank that drops mod 3;
+    every answer must still be the exact one."""
+
+    @staticmethod
+    def snapshot(c, e):
+        top = (c.dim + 1) // 2 + 1
+        dims = [ss.stress_dim(c, e, k) for k in range(1, top + 1)]
+        bases = [[p.terms for p in ss.stress_space(c, e, k).polys] for k in range(1, top + 1)]
+        return dims, bases, ss.socle_dims(c, e)
+
+    @staticmethod
+    def embeddings(c):
+        generic = ss.generic_embedding(c, 1)
+        # integer coordinates: the operator matrices have no denominators,
+        # so their certificates can fail only by a rank that drops mod 3
+        integral = Embedding({v: tuple(Fraction(x.numerator) for x in cs)
+                              for v, cs in generic.coords.items()}, generic.d, "generic", 1)
+        return generic, integral
+
+    def test_prime_three_gives_identical_answers(self, monkeypatch):
+        cases = [(c, e) for c in (build(n).complex
+                                  for n in ("octahedron", "K-2-4", "cyclejoin-3-4"))
+                 for e in self.embeddings(c)]
+        expected = [self.snapshot(c, e) for c, e in cases]
+        outcomes = []
+        modp_rank = linalg.modp_rank
+
+        def spy(rows):
+            rows = list(rows)
+            r = modp_rank(rows)
+            outcomes.append((r, linalg.rank_of(rows)))
+            return r
+
+        monkeypatch.setattr(linalg, "PRIME", 3)
+        monkeypatch.setattr(linalg, "modp_rank", spy)
+        assert [self.snapshot(c, e) for c, e in cases] == expected
+        assert any(r is None for r, _ in outcomes)
+        assert any(r is not None and r < exact for r, exact in outcomes)
