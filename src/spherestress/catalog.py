@@ -391,6 +391,10 @@ def _K25() -> NamedSphere:
         description=s.description)
 
 
+# The shipped suspended cycle joins, 3 <= n <= m <= 6, by catalog name.
+_CYCLEJOINS = {f"cyclejoin-{n}-{m}": (n, m) for n in range(3, 7) for m in range(n, 7)}
+
+
 def _builders() -> dict:
     reg: dict = {}
     for d in range(2, 9):
@@ -407,12 +411,11 @@ def _builders() -> dict:
     reg["K-2-5"] = _K25
     reg["K-3-6"] = lambda: build_K(3, 7)
     reg["K-3-7"] = lambda: build_K(3, 8)
-    for n in range(3, 7):
-        for m in range(n, 7):
-            reg[f"cyclejoin-{n}-{m}"] = (
-                lambda n=n, m=m: NamedSphere(
-                    f"cyclejoin-{n}-{m}", cyclejoin(n, m),
-                    description=f"suspension of the join of a {n}-cycle and a {m}-cycle"))
+    for name, (n, m) in _CYCLEJOINS.items():
+        reg[name] = (
+            lambda name=name, n=n, m=m: NamedSphere(
+                name, cyclejoin(n, m),
+                description=f"suspension of the join of a {n}-cycle and a {m}-cycle"))
     for m in (1, 2):
         reg[f"polytope-{m}"] = (lambda m=m: build_counterexample_polytope(m))
     return reg
@@ -452,13 +455,11 @@ def build_family(family: str, args: list[int]) -> NamedSphere:
 def residual_catalog() -> list[NamedSphere]:
     """The spheres on which the vertex-link sum rules, stress dimensions
     and socle identities are verified end to end."""
-    names = (["octahedron", "cross-4", "cross-5", "cross-6", "K-2-4", "K-2-5"]
-             + [f"cyclejoin-{n}-{m}" for n in range(3, 7) for m in range(n, 7)])
+    names = ["octahedron", "cross-4", "cross-5", "cross-6", "K-2-4", "K-2-5", *_CYCLEJOINS]
     return [build(n) for n in names]
 
 
 def s24_catalog() -> list[NamedSphere]:
     """The shipped 4-spheres without missing faces of dimension > 2."""
-    names = (["K-2-4", "cross-5"]
-             + [f"cyclejoin-{n}-{m}" for n in range(3, 7) for m in range(n, 7)])
+    names = ["K-2-4", "cross-5", *_CYCLEJOINS]
     return [build(n) for n in names]

@@ -1,8 +1,10 @@
 """Immutable simplicial complexes and their combinatorial operations.
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
-vertex labels; all other faces are derived on demand and memoized per
-dimension.  Every operation returns a new value, nothing is mutated.
+vertex labels; all other faces are derived on demand.  The faces by
+dimension, the set of all faces (so ``is_face`` is one hash lookup) and
+the missing faces are each memoized per complex.  Every operation
+returns a new value, nothing is mutated.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -12,6 +14,7 @@ is the empty face.  It shows up as the link of a facet and as the
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,9 +53,32 @@ class SimplicialComplex:
         """The k-dimensional faces (k = -1 gives {∅})."""
         return self.faces_by_dim.get(k, frozenset())
 
+    @cached_property
+    def face_set(self) -> frozenset[frozenset[int]]:
+        """All faces of every dimension, including the empty face."""
+        return frozenset().union(*self.faces_by_dim.values())
+
     def is_face(self, tau) -> bool:
-        t = frozenset(tau)
-        return any(t <= f for f in self.facets)
+        return frozenset(tau) in self.face_set
+
+    @cached_property
+    def _missing_faces(self) -> tuple[MissingFace, ...]:
+        """All missing faces, sorted by (dimension, vertex labels).
+
+        Every proper subset of a missing face s is a face, s - {max s}
+        among them, so each candidate is generated exactly once: a face f
+        plus a vertex above max(f).
+        """
+        faces, verts = self.face_set, self.vertices
+        out: list[frozenset[int]] = []
+        for k in range(self.dim + 1):
+            for f in self.faces(k):
+                for v in verts[bisect_right(verts, max(f)):]:
+                    s = f | {v}
+                    if s not in faces and all(s - {u} in faces for u in f):
+                        out.append(s)
+        out.sort(key=lambda s: (len(s), sorted(s)))
+        return tuple(MissingFace(s) for s in out)
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
@@ -219,25 +245,11 @@ class MissingFace:
 
 
 def missing_faces(c: SimplicialComplex) -> list[MissingFace]:
-    """All missing faces, sorted by (dimension, vertex labels)."""
-    out: list[frozenset[int]] = []
-    for u, v in combinations(c.vertices, 2):
-        if not c.is_face({u, v}):
-            out.append(frozenset({u, v}))
-    size = 3
-    while True:
-        lower = c.faces(size - 2)
-        if not lower:
-            break
-        cands = {f | {v} for f in lower for v in c.vertices if v not in f}
-        for s in sorted(cands, key=sorted):
-            if c.is_face(s):
-                continue
-            if all(c.is_face(s - {v}) for v in s):
-                out.append(s)
-        size += 1
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return [MissingFace(s) for s in out]
+    """All missing faces, sorted by (dimension, vertex labels).
+
+    Computed once per complex; each call returns a fresh list.
+    """
+    return list(c._missing_faces)
 
 
 def missing_face_counts(c: SimplicialComplex) -> dict[int, int]:
@@ -422,6 +434,10 @@ def complex_from_json(text: str):
         raise ValueError("complex document needs a 'facets' list")
     if not all(isinstance(f, list) for f in doc["facets"]):
         raise ValueError("every facet must be a list of vertex labels")
+    for f in doc["facets"]:
+        for v in f:
+            if type(v) is not int:  # bool is an int subclass; reject it too
+                raise ValueError(f"vertex labels must be integers, got {json.dumps(v)}")
     c = from_facets(doc["facets"])
     name = doc.get("name", "")
     coords = None

@@ -89,8 +89,11 @@ def find_induced_gamma(c: SimplicialComplex) -> list[tuple[frozenset[int], tuple
     return hits
 
 
-def _component_sizes(c: SimplicialComplex) -> tuple[int, ...]:
-    parent = {v: v for v in c.vertices}
+def _components(items, pairs) -> list[list]:
+    """Connected components of the graph on items whose edges are pairs,
+    by union-find.  Each component keeps the order of items, and the
+    components are ordered by their first item."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -98,13 +101,16 @@ def _component_sizes(c: SimplicialComplex) -> tuple[int, ...]:
             x = parent[x]
         return x
 
-    for e in c.faces(1):
-        a, b = sorted(e)
+    for a, b in pairs:
         parent[find(a)] = find(b)
-    comps: dict[int, int] = {}
-    for v in c.vertices:
-        comps[find(v)] = comps.get(find(v), 0) + 1
-    return tuple(sorted(comps.values()))
+    comps: dict = {}
+    for x in items:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def _component_sizes(c: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(sorted(len(comp) for comp in _components(c.vertices, c.faces(1))))
 
 
 class GammaDoesNotSeparate(ValueError):
@@ -129,35 +135,17 @@ def split_along_gamma(c: SimplicialComplex, subset) -> tuple[SimplicialComplex, 
         raise ValueError(f"{sorted(w)} does not induce a join of two empty triangles")
 
     facets = sorted(c.facets, key=sorted)
-    index = {f: i for i, f in enumerate(facets)}
-    parent = list(range(len(facets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ridge_map: dict[frozenset[int], list[int]] = {}
+    ridge_map: dict[frozenset[int], list[frozenset[int]]] = {}
     for f in facets:
         for v in f:
-            ridge_map.setdefault(f - {v}, []).append(index[f])
-    for ridge, fs in ridge_map.items():
-        if ridge <= w:
-            continue
-        for other in fs[1:]:
-            a, b = find(fs[0]), find(other)
-            if a != b:
-                parent[a] = b
-
-    comps: dict[int, list[frozenset[int]]] = {}
-    for f in facets:
-        comps.setdefault(find(index[f]), []).append(f)
-    if len(comps) != 2:
+            ridge_map.setdefault(f - {v}, []).append(f)
+    adjacent = [(fs[0], other) for ridge, fs in ridge_map.items()
+                if not ridge <= w for other in fs[1:]]
+    sides = _components(facets, adjacent)
+    if len(sides) != 2:
         raise GammaDoesNotSeparate(
-            f"adjacency graph falls into {len(comps)} parts, expected 2")
+            f"adjacency graph falls into {len(sides)} parts, expected 2")
 
-    sides = list(comps.values())
     gamma = cc.induced(c, w)
     fresh = max(c.vertices) + 1
     halves = []

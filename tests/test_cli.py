@@ -65,6 +65,17 @@ class TestInfo:
         code, _, err = run(capsys, "info", "-")
         assert code == 2 and "zero denominator" in err
 
+    @pytest.mark.parametrize("facets", [
+        '[["a", 2], [2, 3], [3, "a"]]',
+        '[[true, 2], [2, 3], [3, true]]',
+        '[[1.5, 2], [2, 3], [3, 1.5]]',
+        '[["a", "b"], ["b", "c"], ["c", "a"]]',
+    ], ids=["mixed-str", "bool", "float", "str"])
+    def test_non_integer_labels_exit_2(self, facets, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"facets": {facets}}}'))
+        code, out, err = run(capsys, "info", "-")
+        assert code == 2 and out == "" and "integers" in err
+
 
 class TestCatalog:
     def test_list(self, capsys):

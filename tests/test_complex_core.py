@@ -1,6 +1,10 @@
 """Tests for the simplicial complex value type and its operations."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import spherestress as ss
 from spherestress.complex_core import EMPTY, _make
@@ -8,6 +12,27 @@ from spherestress.complex_core import EMPTY, _make
 
 def facet_sets(c):
     return {tuple(sorted(f)) for f in c.facets}
+
+
+# Random facet lists over at most 8 vertices.
+facet_lists = hs.lists(hs.sets(hs.integers(1, 8), min_size=1, max_size=5),
+                       min_size=1, max_size=8)
+
+
+def scan_is_face(c, s):
+    return any(frozenset(s) <= f for f in c.facets)
+
+
+def brute_missing_faces(c):
+    """Every vertex subset that is not a face but all of whose proper
+    subsets are, sorted by (dimension, vertex labels)."""
+    out = []
+    for k in range(2, len(c.vertices) + 1):
+        for s in combinations(c.vertices, k):
+            if not scan_is_face(c, s) and all(
+                    scan_is_face(c, t) for t in combinations(s, k - 1)):
+                out.append(list(s))
+    return out
 
 
 class TestConstruction:
@@ -148,6 +173,31 @@ class TestMissingFaces:
             | {(6, 7, 8)}
         assert got == expect
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(facet_lists)
+    def test_matches_brute_force(self, facets):
+        c = ss.from_facets(facets)
+        assert [sorted(m.vertex_set) for m in ss.missing_faces(c)] \
+            == brute_missing_faces(c)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(facet_lists)
+    def test_is_face_matches_facet_scan(self, facets):
+        c = ss.from_facets(facets)
+        for k in range(6):
+            for s in combinations(range(1, 10), k):
+                assert c.is_face(s) == scan_is_face(c, s)
+
+    def test_returned_list_is_a_copy(self):
+        c = ss.build("K-2-4").complex
+        first = ss.missing_faces(c)
+        expect = list(first)
+        first.clear()
+        assert ss.missing_faces(c) == expect
+
+    def test_empty_complex_has_none(self):
+        assert ss.missing_faces(EMPTY) == []
+
     def test_class_membership(self):
         oct_ = ss.build("octahedron").complex
         assert ss.in_class_S(oct_, 1)
@@ -174,6 +224,14 @@ class TestContraction:
         assert ss.f_vector(c) == [1, 5, 9, 6]
         assert ss.is_z2_homology_sphere(c)
         assert len(c.vertices) == len(oct_.vertices) - 1
+
+    def test_contraction_has_its_own_missing_faces(self):
+        c = ss.cycle(5)
+        assert len(ss.missing_faces(c)) == 5
+        square = ss.contract_edge(c, 1, 2)  # 1 and 2 become vertex 6
+        assert [sorted(m.vertex_set) for m in ss.missing_faces(square)] \
+            == [[3, 5], [4, 6]]
+        assert len(ss.missing_faces(c)) == 5
 
     def test_link_condition_matches_missing_face_criterion(self):
         # lk(uv) = lk(u) cap lk(v) exactly when uv lies in no missing face
