@@ -3,8 +3,10 @@
 Targets are catalog names, paths to JSON complex files, or "-" for
 stdin.  Exit codes: 0 success, 1 a verification check failed, 2 bad
 input (unknown name, malformed file, bad arguments), 3 a degenerate
-embedding certificate failure.  All randomness flows from --seed, and
-identical invocations with identical seeds print byte-identical JSON.
+embedding certificate failure, 4 an internal error (an unexpected
+exception, reported in one line on stderr).  All randomness flows from
+--seed, and identical invocations with identical seeds print
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(Exception):
@@ -134,12 +137,7 @@ def cmd_stress(args) -> int:
     emb = _embedding_for(sphere, args.embedding, args.seed)
     basis = st.stress_space(c, emb, args.degree)
     if args.embedding == "generic":
-        # two-seed rank stability certificate
-        second = st.generic_embedding(c, args.seed + st.SECOND_SEED_OFFSET)
-        other = st.stress_dim(c, second, args.degree)
-        if other != basis.dim:
-            raise st.DegenerateEmbeddingError(
-                f"degenerate embedding: dims {basis.dim} vs {other}")
+        st.certified_stress_dims(c, args.degree, args.seed, dim=basis.dim)
     g = g_vector(c)
     expected = g[args.degree] if args.degree < len(g) else None
     doc = st.basis_to_jsonable(basis)
@@ -388,6 +386,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # exit 1 is reserved for a failed check
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

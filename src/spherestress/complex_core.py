@@ -14,6 +14,7 @@ is the empty face.  It shows up as the link of a facet and as the
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -424,6 +425,22 @@ def complex_to_json(c: SimplicialComplex, name: str = "",
     return json.dumps(doc, sort_keys=True)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _coordinate(v, x) -> Fraction:
+    """One coordinate value: a JSON integer or a "p/q" string.  Floats
+    and booleans are rejected so that no inexact value enters an exact
+    statement."""
+    if type(x) is not int and not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f"coordinates of vertex {v} must be integers or \"p/q\" "
+                         f"strings, got {json.dumps(x)}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"coordinate of vertex {v} has a zero denominator") from exc
+
+
 def complex_from_json(text: str):
     """Parse the interchange schema; returns (complex, name, coordinates)."""
     try:
@@ -442,12 +459,14 @@ def complex_from_json(text: str):
     name = doc.get("name", "")
     coords = None
     if "coordinates" in doc:
+        if not isinstance(doc["coordinates"], dict):
+            raise ValueError("'coordinates' must be an object mapping vertex labels to lists")
         coords = {}
         for v, vals in doc["coordinates"].items():
-            try:
-                coords[int(v)] = tuple(Fraction(s) for s in vals)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"coordinate of vertex {v} has a zero denominator") from exc
+            if not isinstance(vals, list):
+                raise ValueError(f"coordinates of vertex {v} must be a list, "
+                                 f"got {json.dumps(vals)}")
+            coords[int(v)] = tuple(_coordinate(v, x) for x in vals)
         if set(coords) != set(c.vertices):
             raise ValueError("coordinates must cover exactly the vertices")
     return c, name, coords

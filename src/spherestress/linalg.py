@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals, GF(p) and GF(2).
 
 Everything in this module is exact: rational rows are dicts mapping a
-(hashable, orderable) column key to a nonzero rational, GF(2) rows are
-Python integers used as bit masks.  Rational arithmetic uses gmpy2.mpq
-when available and falls back to fractions.Fraction otherwise; results
-are converted back to Fraction at the public boundaries of the package.
+(hashable, orderable) column key to a nonzero ``fractions.Fraction``,
+GF(p) rows map keys to ints in [0, p), and GF(2) rows are Python
+integers used as bit masks.  ``SparseRREF.insert`` is the one
+elimination loop over Q and GF(p): ranks, kernel bases, the canonical
+basis of a span (``canonicalize``), span membership (an empty
+``SparseRREF.reduce`` residual) and the mod-p rank certificates below
+all go through it.  ``gf2_rank`` keeps its own bit-mask loop.
 
 Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
 a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p).  When no
@@ -22,22 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:  # gmpy2 is optional; it speeds up rational elimination considerably
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    QQ = Fraction
-
-QQ0 = QQ(0)
-QQ1 = QQ(1)
+QQ = Fraction  # the rational type; the benchmark reports it by this name
 
 PRIME = 2 ** 61 - 1  # a Mersenne prime; read at call time by modp_rank
-
-
-def to_fraction(x) -> Fraction:
-    """Convert an internal rational (mpq or Fraction) to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 class SparseRREF:
@@ -54,17 +44,20 @@ class SparseRREF:
 
     Pivot columns are chosen to minimize propagation (fewest stored rows
     touching the column, ties broken by column order), so the pivot set
-    depends on insertion order; ranks do not, and kernel bases are made
-    canonical afterwards by ``kernel_basis``.  Columns listed in
-    ``forbid`` are never chosen as pivots.
+    depends on insertion order; ranks do not.  With ``leftmost`` the
+    pivot is always the residual's smallest column instead.  Then every
+    stored row starts at its pivot (a later pivot lies in a free column
+    of the rows it is eliminated from, so above their pivots), and the
+    stored rows are the unique reduced echelon basis of the span,
+    whatever the insertion order; ``canonicalize`` relies on this.
     """
 
-    def __init__(self, forbid=(), modulus=None):
+    def __init__(self, modulus=None, leftmost=False):
         self.modulus = modulus
+        self.leftmost = leftmost
         self.rows: list[dict] = []
         self.pivot_cols: list = []      # pivot column of rows[i]
         self.row_of_pivot: dict = {}    # pivot column -> row index
-        self.forbid = frozenset(forbid)
         self._col_rows: dict = {}       # column -> set of row indices using it
 
     @property
@@ -72,49 +65,41 @@ class SparseRREF:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Return the residual of ``vec`` after eliminating all pivots."""
+        """Return the residual of ``vec`` after eliminating all pivots;
+        it is empty exactly when ``vec`` lies in the span of the rows."""
         p = self.modulus
-        if p is None:
-            zero, v = QQ0, {c: QQ(x) for c, x in vec.items() if x}
-        else:
-            zero, v = 0, {c: x for c, x in vec.items() if x}
-        hits = [c for c in v if c in self.row_of_pivot]
-        for c in hits:
-            coef = v.pop(c, zero)
-            if not coef:
-                continue
-            row = self.rows[self.row_of_pivot[c]]
-            for cc, val in row.items():
+        v = {c: x for c, x in vec.items() if x}
+        # a stored row touches no other pivot column, so the pivot
+        # entries of v never change while it is reduced
+        for c in [c for c in v if c in self.row_of_pivot]:
+            coef = v.pop(c)
+            for cc, val in self.rows[self.row_of_pivot[c]].items():
                 if cc == c:
                     continue
-                nv = v.get(cc, zero) - coef * val
+                nv = v.get(cc, 0) - coef * val
                 if p is not None:
                     nv %= p
                 if nv:
                     v[cc] = nv
                 else:
-                    v.pop(cc, None)
+                    del v[cc]
         return v
 
     def insert(self, vec: dict) -> bool:
-        """Insert a row; return True if it increased the rank.
-
-        Raises Unreducible when the residual is supported only on
-        forbidden columns (used by the linear solver).
-        """
+        """Insert a row; return True if it increased the rank."""
         res = self.reduce(vec)
         if not res:
             return False
-        eligible = [c for c in res if c not in self.forbid] if self.forbid else res
-        if not eligible:
-            raise Unreducible(res)
-        pc = min(eligible, key=lambda c: (len(self._col_rows.get(c, ())), c))
+        if self.leftmost:
+            pc = min(res)
+        else:
+            pc = min(res, key=lambda c: (len(self._col_rows.get(c, ())), c))
         p = self.modulus
         if p is None:
-            zero, inv = QQ0, QQ1 / res[pc]
+            inv = Fraction(1) / res[pc]
             new_row = {c: val * inv for c, val in res.items()}
         else:
-            zero, inv = 0, pow(res[pc], -1, p)
+            inv = pow(res[pc], -1, p)
             new_row = {c: val * inv % p for c, val in res.items()}
         idx = len(self.rows)
         # eliminate the new pivot column from all stored rows
@@ -125,7 +110,7 @@ class SparseRREF:
             for cc, val in new_row.items():
                 if cc == pc:
                     continue
-                nv = row.get(cc, zero) - coef * val
+                nv = row.get(cc, 0) - coef * val
                 if p is not None:
                     nv %= p
                 if nv:
@@ -133,22 +118,14 @@ class SparseRREF:
                         self._col_rows.setdefault(cc, set()).add(ri)
                     row[cc] = nv
                 else:
-                    row.pop(cc, None)
-                    self._col_rows.get(cc, set()).discard(ri)
+                    del row[cc]
+                    self._col_rows[cc].discard(ri)
         self.rows.append(new_row)
         self.pivot_cols.append(pc)
         self.row_of_pivot[pc] = idx
         for cc in new_row:
             self._col_rows.setdefault(cc, set()).add(idx)
         return True
-
-
-class Unreducible(Exception):
-    """A row reduced to a vector supported only on forbidden columns."""
-
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__("row reduces onto forbidden columns only")
 
 
 def rank_of(vectors) -> int:
@@ -169,13 +146,13 @@ def modp_rank(rows):
     for row in rows:
         vec = {}
         for c, x in row.items():
-            den = int(x.denominator)
+            den = x.denominator
             inv = inverses.get(den)
             if inv is None:
                 if not den % p:
                     return None
                 inv = inverses[den] = pow(den % p, -1, p)
-            vec[c] = int(x.numerator) * inv % p
+            vec[c] = x.numerator * inv % p
         rr.insert(vec)
     return rr.rank
 
@@ -198,33 +175,14 @@ def bounded_rank(vectors, bound: int) -> int:
     return rank_of(vectors)
 
 
-def canonicalize(vectors: list[dict]) -> list[dict]:
-    """Reduced echelon form of a small family of sparse vectors, pivots
-    taken leftmost; the result is the unique canonical basis of their
-    span, listed by pivot column."""
-    work = [dict(v) for v in vectors if v]
-    done: list[dict] = []
-    while work:
-        vec = min(work, key=lambda v: min(v))
-        work.remove(vec)
-        pc = min(vec)
-        inv = QQ1 / vec[pc]
-        vec = {c: x * inv for c, x in vec.items()}
-        for group in (work, done):
-            for other in group:
-                coef = other.get(pc)
-                if not coef:
-                    continue
-                for c, x in vec.items():
-                    nv = other.get(c, QQ0) - coef * x
-                    if nv:
-                        other[c] = nv
-                    else:
-                        other.pop(c, None)
-        work = [v for v in work if v]
-        done.append(vec)
-    done.sort(key=lambda v: min(v))
-    return done
+def canonicalize(vectors) -> list[dict]:
+    """Reduced echelon form of a family of sparse rational vectors,
+    pivots taken leftmost; the result is the unique canonical basis of
+    their span, listed by pivot column."""
+    rr = SparseRREF(leftmost=True)
+    for v in vectors:
+        rr.insert(v)
+    return sorted(rr.rows, key=min)
 
 
 def kernel_basis(rows, columns) -> list[dict]:
@@ -246,41 +204,13 @@ def kernel_basis(rows, columns) -> list[dict]:
     free = [c for c in columns if c not in rr.row_of_pivot]
     raw = []
     for fc in free:
-        vec = {fc: QQ1}
+        vec = {fc: Fraction(1)}
         for ri, pc in enumerate(rr.pivot_cols):
             val = rr.rows[ri].get(fc)
             if val:
                 vec[pc] = -val
         raw.append(vec)
     return canonicalize(raw)
-
-
-def solve_combination(vectors: list[dict], target: dict):
-    """Solve ``sum_i c_i * vectors[i] == target`` exactly.
-
-    Returns the list of coefficients (one per input vector, free ones
-    set to 0) or None when the target is not in the span.
-    """
-    n = len(vectors)
-    coords = set(target)
-    for v in vectors:
-        coords.update(v)
-    rr = SparseRREF(forbid={n})
-    for coord in sorted(coords):
-        row = {i: v[coord] for i, v in enumerate(vectors) if coord in v}
-        t = target.get(coord)
-        if t:
-            row[n] = t
-        if not row:
-            continue
-        try:
-            rr.insert(row)
-        except Unreducible:
-            return None  # inconsistent system
-    coeffs = [QQ0] * n
-    for ri, pc in enumerate(rr.pivot_cols):
-        coeffs[pc] = rr.rows[ri].get(n, QQ0)
-    return coeffs
 
 
 def gf2_rank(rows) -> int:

@@ -11,7 +11,10 @@ the stress space it lies in.  Both ranks go through the mod-p
 certificate of ``linalg`` (a rank mod p is a lower bound on the rank
 over Q), which settles a zero kernel or a span as large as its known
 bound without elimination over Q, and otherwise falls back to exact
-elimination over Q.  Every answer is the exact rational one.
+elimination over Q.  Every answer is the exact rational one:
+coefficients are ``fractions.Fraction`` end to end, and the cone-lift
+check is a span-membership test (an empty ``SparseRREF.reduce``
+residual), not a linear solve.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -33,7 +36,6 @@ from itertools import combinations
 from . import linalg
 from .complex_core import SimplicialComplex, cone, link, star
 from .enumeration import g_vector
-from .linalg import QQ, to_fraction
 from .sequences import SequenceVerdict
 
 Monomial = tuple[int, ...]
@@ -252,16 +254,16 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int,
     cols = face_monomials(c, k) if monomials is None else monomials
     kernel = linalg.kernel_basis(_operator_rows(e, cols), range(len(cols)))
     polys = tuple(
-        StressPolynomial(k, {cols[ci]: to_fraction(val) for ci, val in sorted(vec.items())})
+        StressPolynomial(k, {cols[ci]: val for ci, val in sorted(vec.items())})
         for vec in kernel)
     return StressBasis(c, e, k, polys)
 
 
-def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, object]]:
+def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, Fraction]]:
     """Rows of the stacked operator matrix over the columns ``cols``: one
     per (linear form, degree-(k-1) monomial) pair that some column hits."""
     forms = theta_forms(e)
-    rows: dict[tuple[int, Monomial], dict[int, object]] = {}
+    rows: dict[tuple[int, Monomial], dict[int, Fraction]] = {}
     for ci, mu in enumerate(cols):
         for v, mult in _multiplicities(mu):
             nu = _remove_one(mu, v)
@@ -269,8 +271,8 @@ def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, object]
                 a = form.get(v)
                 if not a:
                     continue
-                row = rows.setdefault((j, nu), {})
-                row[ci] = row.get(ci, QQ(0)) + QQ(mult) * QQ(a)
+                # column ci meets row (j, nu) only through v = mu - nu
+                rows.setdefault((j, nu), {})[ci] = mult * a
     return list(rows.values())
 
 
@@ -284,17 +286,19 @@ def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
 
 
 def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
-                          second_seed: int | None = None) -> int:
-    """Stress dimension under two distinct seeds; a mismatch means at
-    least one embedding is degenerate and raises."""
-    if second_seed is None:
-        second_seed = seed + SECOND_SEED_OFFSET
-    d1 = stress_dim(c, generic_embedding(c, seed), k)
-    d2 = stress_dim(c, generic_embedding(c, second_seed), k)
-    if d1 != d2:
+                          dim: int | None = None) -> int:
+    """Stress dimension under the generic embeddings of ``seed`` and
+    ``seed + SECOND_SEED_OFFSET``; a mismatch means at least one
+    embedding is degenerate and raises.  A caller that already has the
+    first seed's dimension passes it as ``dim``."""
+    second = seed + SECOND_SEED_OFFSET
+    if dim is None:
+        dim = stress_dim(c, generic_embedding(c, seed), k)
+    other = stress_dim(c, generic_embedding(c, second), k)
+    if dim != other:
         raise DegenerateEmbeddingError(
-            f"degenerate embedding: dims {d1} (seed {seed}) vs {d2} (seed {second_seed})")
-    return d1
+            f"degenerate embedding: dims {dim} (seed {seed}) vs {other} (seed {second})")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,7 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
         for v in c.vertices:
             dv = _apply_form(omega.terms, {v: Fraction(1)})
             if dv:
-                vectors.append({m: QQ(q) for m, q in dv.items()})
+                vectors.append(dv)
     if bound is None:
         return linalg.rank_of(vectors)
     return linalg.bounded_rank(vectors, bound)
@@ -446,19 +450,18 @@ def cone_lift_check(delta: SimplicialComplex, i: int, seed: int) -> ConeLiftRepo
 
     base_basis = stress_space(delta, base, i)
     cone_basis = stress_space(gamma, top, i)
-    projections = []
+    projections = linalg.SparseRREF()
     for p in cone_basis.polys:
-        proj = {mu: QQ(q) for mu, q in p.terms.items() if apex not in mu}
-        projections.append(proj)
+        projections.insert({mu: q for mu, q in p.terms.items() if apex not in mu})
     lifted = []
     for p in base_basis.polys:
         target = {}
         for mu, q in p.terms.items():
-            scale = QQ(1)
+            scale = Fraction(1)
             for v in mu:
                 scale /= b[v]
-            target[mu] = QQ(q) * scale
-        lifted.append(linalg.solve_combination(projections, target) is not None)
+            target[mu] = q * scale
+        lifted.append(not projections.reduce(target))
     return ConeLiftReport(apex, base_basis.dim, cone_basis.dim, tuple(lifted))
 
 

@@ -76,6 +76,27 @@ class TestInfo:
         code, out, err = run(capsys, "info", "-")
         assert code == 2 and out == "" and "integers" in err
 
+    @pytest.mark.parametrize("coordinates", [
+        [1, 2],
+        {"1": 5, "2": 6, "3": 7},
+        {"1": [True], "2": [1], "3": [2]},
+        {"1": [0.1], "2": [1], "3": [2]},
+    ], ids=["non-object", "non-list", "bool", "float"])
+    def test_bad_coordinates_exit_2(self, coordinates, capsys, monkeypatch):
+        doc = {"facets": [[1, 2], [2, 3], [1, 3]], "coordinates": coordinates}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "stress", "-", "--degree", "1",
+                             "--embedding", "natural")
+        assert code == 2 and out == "" and "coordinates" in err
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_info", broken)
+        code, out, err = run(capsys, "info", "octahedron")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == "" and err == "internal error: RuntimeError('boom')\n"
+
 
 class TestCatalog:
     def test_list(self, capsys):

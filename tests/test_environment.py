@@ -1,4 +1,4 @@
-"""Cross-cutting checks: backend fallback and demo scripts stay runnable."""
+"""Cross-cutting checks: the rational backend and demo scripts stay runnable."""
 
 import pathlib
 import subprocess
@@ -8,9 +8,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-FALLBACK_SNIPPET = """
-import sys
-sys.modules['gmpy2'] = None  # force the pure-fractions backend
+FRACTION_SNIPPET = """
 import spherestress as ss
 import spherestress.linalg as la
 from fractions import Fraction
@@ -21,15 +19,15 @@ dims = [ss.stress_dim(c, e, k) for k in (1, 2, 3)]
 assert dims == [2, 3, 1], dims
 rep = ss.verify_counterexample_support(1)
 assert rep.reproduced
-print('fallback ok')
+print('fractions ok')
 """
 
 
 def test_fraction_backend_gives_identical_results():
-    out = subprocess.run([sys.executable, "-c", FALLBACK_SNIPPET],
+    out = subprocess.run([sys.executable, "-c", FRACTION_SNIPPET],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout
+    assert "fractions ok" in out.stdout
 
 
 @pytest.mark.slow

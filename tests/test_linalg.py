@@ -9,7 +9,6 @@ from hypothesis import strategies as hs
 
 from spherestress import linalg
 from spherestress.linalg import (
-    QQ,
     SparseRREF,
     bounded_rank,
     canonicalize,
@@ -17,12 +16,17 @@ from spherestress.linalg import (
     kernel_basis,
     modp_rank,
     rank_of,
-    solve_combination,
 )
 
 
 def as_rows(matrix):
-    return [{j: QQ(x) for j, x in enumerate(row) if x} for row in matrix]
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+
+
+small_rationals = hs.builds(Fraction, hs.integers(-3, 3), hs.integers(1, 4))
+small_matrices = hs.integers(1, 5).flatmap(
+    lambda ncols: hs.lists(hs.lists(small_rationals, min_size=ncols, max_size=ncols),
+                           max_size=6))
 
 
 class TestRankAndKernel:
@@ -36,7 +40,7 @@ class TestRankAndKernel:
         assert len(basis) == 2
         for vec in basis:
             for row in m:
-                assert sum(QQ(row[j]) * vec.get(j, QQ(0)) for j in range(3)) == 0
+                assert sum(Fraction(row[j]) * vec.get(j, Fraction(0)) for j in range(3)) == 0
 
     def test_kernel_basis_canonical_under_row_shuffle(self):
         rng = random.Random(0)
@@ -53,38 +57,81 @@ class TestRankAndKernel:
 
 class TestCanonicalize:
     def test_reduced_echelon(self):
-        vecs = [{0: QQ(2), 1: QQ(2)}, {0: QQ(1), 1: QQ(1), 2: QQ(1)}]
+        vecs = [{0: Fraction(2), 1: Fraction(2)},
+                {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]
         out = canonicalize(vecs)
-        assert out == [{0: QQ(1), 1: QQ(1)}, {2: QQ(1)}]
+        assert out == [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
 
     def test_span_invariance(self):
-        a = {0: QQ(1), 2: QQ(3)}
-        b = {1: QQ(2), 2: QQ(-1)}
-        combo = {k: a.get(k, QQ(0)) + b.get(k, QQ(0)) for k in set(a) | set(b)}
+        a = {0: Fraction(1), 2: Fraction(3)}
+        b = {1: Fraction(2), 2: Fraction(-1)}
+        combo = {k: a.get(k, Fraction(0)) + b.get(k, Fraction(0)) for k in set(a) | set(b)}
         assert canonicalize([a, b]) == canonicalize([combo, b])
 
 
-class TestSolveCombination:
-    def test_solvable(self):
-        vectors = [{0: QQ(1), 1: QQ(1)}, {1: QQ(1), 2: QQ(1)}]
-        target = {0: QQ(2), 1: QQ(3), 2: QQ(1)}
-        coeffs = solve_combination(vectors, target)
-        assert coeffs is not None
-        recon = {}
-        for c, v in zip(coeffs, vectors):
-            for k, x in v.items():
-                recon[k] = recon.get(k, QQ(0)) + c * x
-        assert {k: v for k, v in recon.items() if v} == target
+def leftmost_reference(vectors):
+    """The leftmost-pivot elimination loop ``canonicalize`` replaced:
+    repeatedly pivot on the vector with the smallest leading column."""
+    work = [dict(v) for v in vectors if v]
+    done = []
+    while work:
+        vec = min(work, key=min)
+        work.remove(vec)
+        pc = min(vec)
+        inv = 1 / Fraction(vec[pc])
+        vec = {c: x * inv for c, x in vec.items()}
+        for group in (work, done):
+            for other in group:
+                coef = other.get(pc)
+                if not coef:
+                    continue
+                for c, x in vec.items():
+                    nv = other.get(c, 0) - coef * x
+                    if nv:
+                        other[c] = nv
+                    else:
+                        other.pop(c, None)
+        work = [v for v in work if v]
+        done.append(vec)
+    done.sort(key=min)
+    return done
 
-    def test_unsolvable(self):
-        vectors = [{0: QQ(1)}, {1: QQ(1)}]
-        assert solve_combination(vectors, {2: QQ(1)}) is None
 
-    def test_dependent_vectors(self):
-        vectors = [{0: QQ(1)}, {0: QQ(2)}]
-        coeffs = solve_combination(vectors, {0: QQ(4)})
-        assert coeffs is not None
-        assert coeffs[0] + 2 * coeffs[1] == 4
+class TestCanonicalizeMatchesLeftmostLoop:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(small_matrices, hs.randoms(use_true_random=False))
+    def test_equal_and_order_free(self, matrix, rnd):
+        vectors = as_rows(matrix)
+        a, b = (vectors[0], vectors[-1]) if vectors else ({}, {})
+        total = {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
+        vectors += [{}, {k: x for k, x in total.items() if x}]  # zero, and a + b
+        expected = leftmost_reference(vectors)
+        assert canonicalize(vectors) == expected
+        rnd.shuffle(vectors)
+        assert canonicalize(vectors) == expected
+
+
+class TestSpanMembership:
+    def test_in_span(self):
+        rr = SparseRREF()
+        for v in ({0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}):
+            rr.insert(v)
+        assert rr.reduce({0: Fraction(2), 1: Fraction(3), 2: Fraction(1)}) == {}
+
+    def test_not_in_span(self):
+        rr = SparseRREF()
+        for v in ({0: Fraction(1)}, {1: Fraction(1)}):
+            rr.insert(v)
+        assert rr.reduce({2: Fraction(1)}) == {2: Fraction(1)}
+        assert rr.reduce({0: Fraction(5), 2: Fraction(1, 2)}) == {2: Fraction(1, 2)}
+
+    def test_dependent_generators(self):
+        rr = SparseRREF()
+        assert rr.insert({0: Fraction(1)})
+        assert not rr.insert({0: Fraction(2)})
+        assert rr.rank == 1
+        assert rr.reduce({0: Fraction(4)}) == {}
+        assert rr.reduce({0: Fraction(4), 1: Fraction(1)}) == {1: Fraction(1)}
 
 
 class TestInsertInvariants:
@@ -92,7 +139,7 @@ class TestInsertInvariants:
         rng = random.Random(1)
         rr = SparseRREF()
         for _ in range(40):
-            row = {j: QQ(rng.randint(-3, 3)) for j in rng.sample(range(12), 4)}
+            row = {j: Fraction(rng.randint(-3, 3)) for j in rng.sample(range(12), 4)}
             row = {j: x for j, x in row.items() if x}
             rr.insert(row)
         for i, row in enumerate(rr.rows):
@@ -116,18 +163,13 @@ def plain_kernel(rows, columns):
         rr.insert(r)
     raw = []
     for fc in (c for c in columns if c not in rr.row_of_pivot):
-        vec = {fc: QQ(1)}
+        vec = {fc: Fraction(1)}
         for ri, pc in enumerate(rr.pivot_cols):
             if rr.rows[ri].get(fc):
                 vec[pc] = -rr.rows[ri][fc]
         raw.append(vec)
     return canonicalize(raw), rr.rank
 
-
-small_rationals = hs.builds(Fraction, hs.integers(-3, 3), hs.integers(1, 4))
-small_matrices = hs.integers(1, 5).flatmap(
-    lambda ncols: hs.lists(hs.lists(small_rationals, min_size=ncols, max_size=ncols),
-                           max_size=6))
 
 
 class TestModpCertificates:
@@ -164,10 +206,10 @@ class TestModpCertificates:
 
     def test_vanishing_denominator_has_no_certificate(self, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)
-        rows = [{0: QQ(Fraction(1, 3))}, {1: QQ(1)}]
+        rows = [{0: Fraction(1, 3)}, {1: Fraction(1)}]
         assert modp_rank(rows) is None
         assert bounded_rank(rows, 2) == 2
-        assert kernel_basis(rows, range(3)) == [{2: QQ(1)}]
+        assert kernel_basis(rows, range(3)) == [{2: Fraction(1)}]
 
     def test_short_rank_mod_p_falls_back(self, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)
