@@ -426,6 +426,7 @@ def complex_to_json(c: SimplicialComplex, name: str = "",
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_LABEL = re.compile(r"0|-?[1-9][0-9]*")  # a canonical decimal integer
 
 
 def _coordinate(v, x) -> Fraction:
@@ -463,10 +464,16 @@ def complex_from_json(text: str):
             raise ValueError("'coordinates' must be an object mapping vertex labels to lists")
         coords = {}
         for v, vals in doc["coordinates"].items():
+            if not _LABEL.fullmatch(v):
+                raise ValueError(f"coordinates are keyed by vertex labels written as "
+                                 f"decimal integers, got {json.dumps(v)}")
             if not isinstance(vals, list):
                 raise ValueError(f"coordinates of vertex {v} must be a list, "
                                  f"got {json.dumps(vals)}")
             coords[int(v)] = tuple(_coordinate(v, x) for x in vals)
+            if len(vals) != c.dim + 1:
+                raise ValueError(f"coordinates of vertex {v} must be a list of "
+                                 f"dim + 1 = {c.dim + 1} values, got {len(vals)}")
         if set(coords) != set(c.vertices):
             raise ValueError("coordinates must cover exactly the vertices")
     return c, name, coords

@@ -4,10 +4,10 @@ Everything in this module is exact: rational rows are dicts mapping a
 (hashable, orderable) column key to a nonzero ``fractions.Fraction``,
 GF(p) rows map keys to ints in [0, p), and GF(2) rows are Python
 integers used as bit masks.  ``SparseRREF.insert`` is the one
-elimination loop over Q and GF(p): ranks, kernel bases, the canonical
-basis of a span (``canonicalize``), span membership (an empty
-``SparseRREF.reduce`` residual) and the mod-p rank certificates below
-all go through it.  ``gf2_rank`` keeps its own bit-mask loop.
+elimination loop over Q and GF(p), with one pivot rule: ranks, kernel
+bases, span membership (an empty ``SparseRREF.reduce`` residual) and
+the mod-p rank certificates below all go through it.  ``gf2_rank``
+keeps its own bit-mask loop.
 
 Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
 a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p).  When no
@@ -42,19 +42,21 @@ class SparseRREF:
     accumulated matrix has a small kernel the fill-in stays small and
     insertion cost is roughly proportional to the input's sparsity.
 
-    Pivot columns are chosen to minimize propagation (fewest stored rows
-    touching the column, ties broken by column order), so the pivot set
-    depends on insertion order; ranks do not.  With ``leftmost`` the
-    pivot is always the residual's smallest column instead.  Then every
-    stored row starts at its pivot (a later pivot lies in a free column
-    of the rows it is eliminated from, so above their pivots), and the
-    stored rows are the unique reduced echelon basis of the span,
-    whatever the insertion order; ``canonicalize`` relies on this.
+    The pivot is always the residual's largest column.  A stored row
+    therefore ends at its pivot: eliminating a new pivot from it
+    subtracts a row that ends at that pivot, a free column below its
+    own.  So the stored rows are the unique reduced echelon basis of the
+    span with columns read from the largest down, whatever the insertion
+    order.  A column is then free exactly when, in the matrix of the
+    inserted rows, it is a combination of the larger columns, that is,
+    exactly when some kernel vector starts there.  The free columns are
+    thus the pivots of the kernel's reduced echelon basis taken from the
+    smallest column up, which ``kernel_basis`` reads off the stored rows
+    without a second elimination.
     """
 
-    def __init__(self, modulus=None, leftmost=False):
+    def __init__(self, modulus=None):
         self.modulus = modulus
-        self.leftmost = leftmost
         self.rows: list[dict] = []
         self.pivot_cols: list = []      # pivot column of rows[i]
         self.row_of_pivot: dict = {}    # pivot column -> row index
@@ -90,10 +92,7 @@ class SparseRREF:
         res = self.reduce(vec)
         if not res:
             return False
-        if self.leftmost:
-            pc = min(res)
-        else:
-            pc = min(res, key=lambda c: (len(self._col_rows.get(c, ())), c))
+        pc = max(res)
         p = self.modulus
         if p is None:
             inv = Fraction(1) / res[pc]
@@ -175,25 +174,18 @@ def bounded_rank(vectors, bound: int) -> int:
     return rank_of(vectors)
 
 
-def canonicalize(vectors) -> list[dict]:
-    """Reduced echelon form of a family of sparse rational vectors,
-    pivots taken leftmost; the result is the unique canonical basis of
-    their span, listed by pivot column."""
-    rr = SparseRREF(leftmost=True)
-    for v in vectors:
-        rr.insert(v)
-    return sorted(rr.rows, key=min)
-
-
 def kernel_basis(rows, columns) -> list[dict]:
     """Exact kernel basis of the matrix made of ``rows`` over ``columns``.
 
     ``rows`` is an iterable of sparse vectors (dicts keyed by column),
-    ``columns`` the full ordered list of column keys, which must hold
-    every key the rows use.  The result is the canonical reduced-echelon
-    basis of the kernel, so it is independent of row order and of pivot
-    choices made during elimination.  A rank mod p equal to the column
-    count certifies the zero kernel, with no elimination over Q.
+    ``columns`` the full list of column keys, which must hold every key
+    the rows use.  The result is the canonical kernel basis, reduced
+    echelon with each vector's pivot at its smallest column and listed
+    by pivot column, so it is independent of row order.  Each free column of ``SparseRREF`` starts
+    one of its vectors (1 there, minus the stored rows' entries at their
+    pivots), so it comes out of the one elimination.  A rank mod p equal
+    to the column count certifies the zero kernel, with no elimination
+    over Q.
     """
     rows = list(rows)
     if modp_rank(rows) == len(columns):
@@ -201,16 +193,13 @@ def kernel_basis(rows, columns) -> list[dict]:
     rr = SparseRREF()
     for r in rows:
         rr.insert(r)
-    free = [c for c in columns if c not in rr.row_of_pivot]
-    raw = []
-    for fc in free:
+    basis = []
+    for fc in sorted(c for c in columns if c not in rr.row_of_pivot):
         vec = {fc: Fraction(1)}
-        for ri, pc in enumerate(rr.pivot_cols):
-            val = rr.rows[ri].get(fc)
-            if val:
-                vec[pc] = -val
-        raw.append(vec)
-    return canonicalize(raw)
+        for ri in rr._col_rows.get(fc, ()):
+            vec[rr.pivot_cols[ri]] = -rr.rows[ri][fc]
+        basis.append(vec)
+    return basis
 
 
 def gf2_rank(rows) -> int:

@@ -3,18 +3,20 @@
 A degree-k stress on an embedded complex is a homogeneous polynomial in
 the vertex variables, every term supported on a face, annihilated by
 the derivative operators of the d coordinate linear forms and of the
-all-ones form.  Bases are exact kernels of the stacked operator matrix,
-put in reduced echelon form for reproducibility.  Dimensions and ranks
-need no basis: ``stress_dim`` is the column count minus the rank of the
-operator matrix, and socle dimensions compare each derivative span with
-the stress space it lies in.  Both ranks go through the mod-p
-certificate of ``linalg`` (a rank mod p is a lower bound on the rank
-over Q), which settles a zero kernel or a span as large as its known
-bound without elimination over Q, and otherwise falls back to exact
-elimination over Q.  Every answer is the exact rational one:
-coefficients are ``fractions.Fraction`` end to end, and the cone-lift
-check is a span-membership test (an empty ``SparseRREF.reduce``
-residual), not a linear solve.
+all-ones form.  Bases are exact kernels of the stacked operator matrix
+in their canonical reduced echelon form (each pivot at its vector's
+smallest column), read off the one elimination of that matrix, so they
+do not depend on row order.  Dimensions and ranks need no basis:
+``stress_dim`` is the column count minus the rank of the operator
+matrix, and socle dimensions compare each derivative span with the
+stress space it lies in.  Both ranks go through the mod-p certificate
+of ``linalg`` (a rank mod p is a lower bound on the rank over Q), which
+settles a zero kernel or a span as large as its known bound without
+elimination over Q, and otherwise falls back to exact elimination over
+Q.  Every answer is the exact rational one: coefficients are
+``fractions.Fraction`` end to end, and the cone-lift check is a
+span-membership test (an empty ``SparseRREF.reduce`` residual), not a
+linear solve.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered

@@ -155,6 +155,34 @@ def _whole_catalog():
     return [(name, cat.build(name)) for name in cat.catalog_names()]
 
 
+# The first seed's stress numbers of each residual sphere, shared by the
+# stress and socle families: (sphere name, seed) -> (dims, socle).
+# run_families sets a fresh dict and drops it when it returns, so no call
+# reuses another call's work; outside run_families nothing is shared.
+_seed_numbers: dict | None = None
+
+
+def _first_seed_numbers(sphere, seed: int) -> tuple[list[int], list[int]]:
+    """Stress dimensions in degrees 0..floor(d/2)+1 and the socle vector
+    in degrees 0..floor(d/2) of ``sphere`` under the generic embedding of
+    ``seed``, as ``stress.socle_dims`` computes it: one kernel basis per
+    degree, then the derivative span of each basis in the degree below.
+    Only the integers are kept, not the bases."""
+    shared = {} if _seed_numbers is None else _seed_numbers
+    key = (sphere.name, seed)
+    if key not in shared:
+        c = sphere.complex
+        e = st.generic_embedding(c, seed)
+        half = (c.dim + 1) // 2
+        spaces = {k: st.stress_space(c, e, k) for k in range(1, half + 2)}
+        dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
+        socle = [dims[k] - st.derivative_span_dim(c, e, k, basis_above=spaces[k + 1],
+                                                  bound=dims[k])
+                 for k in range(half + 1)]
+        shared[key] = (dims, socle)
+    return shared[key]
+
+
 def rows_enumeration(seed: int) -> list[CheckRow]:
     rows = []
     for d in range(2, 9):
@@ -206,10 +234,10 @@ def rows_stress(seed: int) -> list[CheckRow]:
         c = sphere.complex
         d = c.dim + 1
         g = g_vector(c)
-        e1 = st.generic_embedding(c, seed)
+        dims, _ = _first_seed_numbers(sphere, seed)
         e2 = st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET)
         for k in range(1, d // 2 + 1):
-            d1 = st.stress_dim(c, e1, k)
+            d1 = dims[k]
             d2 = st.stress_dim(c, e2, k)
             rows.append(CheckRow("stress-dim-seed-stable", f"{sphere.name}[k={k}]",
                                  _fmt(d1), _fmt(d2), d1 == d2))
@@ -237,8 +265,7 @@ def rows_socle(seed: int) -> list[CheckRow]:
     for sphere in cat.residual_catalog():
         c = sphere.complex
         d = c.dim + 1
-        e = st.generic_embedding(c, seed)
-        soc = st.socle_dims(c, e)
+        _, soc = _first_seed_numbers(sphere, seed)
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
             m = counts.get(d - k, 0)
@@ -373,10 +400,15 @@ FAMILIES = {
 
 
 def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
+    global _seed_numbers
     report = VerificationReport(title="+".join(list(families) + [
         f"counterexample-{c[0]}" for c in counterexamples]))
-    for fam in families:
-        _timed(report, fam, FAMILIES[fam], seed)
+    _seed_numbers = {}
+    try:
+        for fam in families:
+            _timed(report, fam, FAMILIES[fam], seed)
+    finally:
+        _seed_numbers = None
     for ce in counterexamples:
         if ce[0] == "level":
             _timed(report, "counterexample-level", rows_counterexample_level,

@@ -89,6 +89,26 @@ class TestInfo:
                              "--embedding", "natural")
         assert code == 2 and out == "" and "coordinates" in err
 
+    @pytest.mark.parametrize("coordinates", [
+        {"1": [], "2": [], "3": []},
+        {"1": [0, 1, 2], "2": [1, 0, 2], "3": [1, 1, 2]},
+    ], ids=["empty", "wrong-length"])
+    def test_coordinate_lists_of_length_not_dim_plus_1_exit_2(self, coordinates, capsys,
+                                                               monkeypatch):
+        doc = {"facets": [[1, 2], [2, 3], [1, 3]], "coordinates": coordinates}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "socle", "-", "--embedding", "natural")
+        assert code == 2 and out == "" and "dim + 1 = 2" in err
+
+    @pytest.mark.parametrize("key", [" 1", "+2"], ids=["space", "plus"])
+    def test_non_canonical_coordinate_keys_exit_2(self, key, capsys, monkeypatch):
+        coordinates = {"1": [1, 0], "2": [0, 1], "3": [1, 1]}
+        coordinates[key] = coordinates.pop(key.strip(" +"))
+        doc = {"facets": [[1, 2], [2, 3], [1, 3]], "coordinates": coordinates}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "info", "-")
+        assert code == 2 and out == "" and json.dumps(key) in err
+
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")

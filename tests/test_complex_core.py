@@ -305,10 +305,10 @@ class TestJson:
 
     def test_rational_strings(self):
         text = '{"name": "seg", "facets": [[1, 2]], ' \
-               '"coordinates": {"1": ["1/2"], "2": ["-3/4"]}}'
+               '"coordinates": {"1": ["1/2", "0"], "2": ["-3/4", "1"]}}'
         c, name, coords = ss.complex_from_json(text)
         from fractions import Fraction
-        assert coords == {1: (Fraction(1, 2),), 2: (Fraction(-3, 4),)}
+        assert coords == {1: (Fraction(1, 2), 0), 2: (Fraction(-3, 4), 1)}
 
     def test_malformed(self):
         with pytest.raises(ValueError):

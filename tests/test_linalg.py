@@ -11,7 +11,6 @@ from spherestress import linalg
 from spherestress.linalg import (
     SparseRREF,
     bounded_rank,
-    canonicalize,
     gf2_rank,
     kernel_basis,
     modp_rank,
@@ -55,23 +54,27 @@ class TestRankAndKernel:
         assert kernel_basis(as_rows([[1, 0], [1, 1]]), range(2)) == []
 
 
-class TestCanonicalize:
+class TestKernelCanonical:
     def test_reduced_echelon(self):
-        vecs = [{0: Fraction(2), 1: Fraction(2)},
-                {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]
-        out = canonicalize(vecs)
-        assert out == [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
+        # the kernel of x0 = x1, x2 = x1 + x3 is {(a, a, a + b, b)}; with
+        # leftmost pivots 0 and 2 its reduced basis is (1, 1, 0, -1), (0, 0, 1, 1)
+        rows = [{0: Fraction(2), 1: Fraction(-2)},
+                {1: Fraction(1), 2: Fraction(-1), 3: Fraction(1)}]
+        assert kernel_basis(rows, range(4)) == [
+            {0: Fraction(1), 1: Fraction(1), 3: Fraction(-1)},
+            {2: Fraction(1), 3: Fraction(1)}]
 
     def test_span_invariance(self):
         a = {0: Fraction(1), 2: Fraction(3)}
         b = {1: Fraction(2), 2: Fraction(-1)}
         combo = {k: a.get(k, Fraction(0)) + b.get(k, Fraction(0)) for k in set(a) | set(b)}
-        assert canonicalize([a, b]) == canonicalize([combo, b])
+        assert kernel_basis([a, b], range(4)) == kernel_basis([combo, b], range(4))
 
 
 def leftmost_reference(vectors):
-    """The leftmost-pivot elimination loop ``canonicalize`` replaced:
-    repeatedly pivot on the vector with the smallest leading column."""
+    """Reduced echelon basis of the span of ``vectors`` with leftmost
+    pivots, listed by pivot: repeatedly pivot on the vector with the
+    smallest leading column."""
     work = [dict(v) for v in vectors if v]
     done = []
     while work:
@@ -97,18 +100,44 @@ def leftmost_reference(vectors):
     return done
 
 
-class TestCanonicalizeMatchesLeftmostLoop:
+def some_kernel_basis(rows, ncols, rnd):
+    """A kernel basis that owes nothing to SparseRREF: read off the
+    leftmost reduced echelon form of the rows, then mixed by a random
+    unitriangular change of basis."""
+    echelon = leftmost_reference(rows)
+    pivots = {min(r): r for r in echelon}
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = {fc: Fraction(1)}
+        for pc, r in pivots.items():
+            if r.get(fc):
+                vec[pc] = -r[fc]
+        basis.append(vec)
+    for i in range(1, len(basis)):
+        coef = Fraction(rnd.randint(-2, 2))
+        for c, x in basis[i - 1].items():
+            nv = basis[i].get(c, 0) + coef * x
+            if nv:
+                basis[i][c] = nv
+            else:
+                basis[i].pop(c, None)
+    rnd.shuffle(basis)
+    return basis
+
+
+class TestKernelMatchesLeftmostLoop:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(small_matrices, hs.randoms(use_true_random=False))
     def test_equal_and_order_free(self, matrix, rnd):
-        vectors = as_rows(matrix)
-        a, b = (vectors[0], vectors[-1]) if vectors else ({}, {})
+        rows = as_rows(matrix)
+        ncols = len(matrix[0]) if matrix else 3
+        a, b = (rows[0], rows[-1]) if rows else ({}, {})
         total = {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
-        vectors += [{}, {k: x for k, x in total.items() if x}]  # zero, and a + b
-        expected = leftmost_reference(vectors)
-        assert canonicalize(vectors) == expected
-        rnd.shuffle(vectors)
-        assert canonicalize(vectors) == expected
+        rows += [{}, {k: x for k, x in total.items() if x}]  # zero, and a + b
+        expected = leftmost_reference(some_kernel_basis(rows, ncols, rnd))
+        assert kernel_basis(rows, range(ncols)) == expected
+        rnd.shuffle(rows)
+        assert kernel_basis(rows, range(ncols)) == expected
 
 
 class TestSpanMembership:
@@ -149,6 +178,16 @@ class TestInsertInvariants:
                     assert other_pivot not in row
 
 
+    def test_rows_end_at_their_pivots(self):
+        rng = random.Random(2)
+        for modulus in (None, 7):
+            rr = SparseRREF(modulus)
+            for _ in range(40):
+                row = {j: rng.randint(1, 6) for j in rng.sample(range(12), 4)}
+                rr.insert(row if modulus else {j: Fraction(x) for j, x in row.items()})
+            assert rr.pivot_cols == [max(row) for row in rr.rows]
+
+
 class TestGF2:
     def test_rank(self):
         assert gf2_rank([0b011, 0b110, 0b101]) == 2  # third row is the sum
@@ -168,7 +207,7 @@ def plain_kernel(rows, columns):
             if rr.rows[ri].get(fc):
                 vec[pc] = -rr.rows[ri][fc]
         raw.append(vec)
-    return canonicalize(raw), rr.rank
+    return leftmost_reference(raw), rr.rank
 
 
 
