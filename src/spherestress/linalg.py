@@ -181,11 +181,11 @@ def kernel_basis(rows, columns) -> list[dict]:
     ``columns`` the full list of column keys, which must hold every key
     the rows use.  The result is the canonical kernel basis, reduced
     echelon with each vector's pivot at its smallest column and listed
-    by pivot column, so it is independent of row order.  Each free column of ``SparseRREF`` starts
-    one of its vectors (1 there, minus the stored rows' entries at their
-    pivots), so it comes out of the one elimination.  A rank mod p equal
-    to the column count certifies the zero kernel, with no elimination
-    over Q.
+    by pivot column, so it is independent of row order.  Each free
+    column of ``SparseRREF`` starts one of its vectors (1 there, minus
+    the stored rows' entries at their pivots), so it comes out of the
+    one elimination.  A rank mod p equal to the column count certifies
+    the zero kernel, with no elimination over Q.
     """
     rows = list(rows)
     if modp_rank(rows) == len(columns):

@@ -335,19 +335,24 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
     return linalg.bounded_rank(vectors, bound)
 
 
-def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
-    """For k = 0..floor(d/2): dim of the degree-k stress space minus the
-    rank of the variable-derivative images from degree k+1 (the socle of
-    the Artinian reduction, computed dually)."""
-    d = c.dim + 1
-    half = d // 2
+def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[int]]:
+    """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
+    vector in degrees 0..floor(d/2), from one stress basis per degree:
+    the socle in degree k is the degree-k dimension minus the rank of the
+    variable-derivative images from degree k+1 (the socle of the
+    Artinian reduction, computed dually).  Only the integers are
+    returned, not the bases."""
+    half = (c.dim + 1) // 2
     spaces = {k: stress_space(c, e, k) for k in range(1, half + 2)}
-    out = []
-    for k in range(half + 1):
-        dim_k = 1 if k == 0 else spaces[k].dim
-        span_k = derivative_span_dim(c, e, k, basis_above=spaces[k + 1], bound=dim_k)
-        out.append(dim_k - span_k)
-    return out
+    dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
+    socle = [dims[k] - derivative_span_dim(c, e, k, basis_above=spaces[k + 1], bound=dims[k])
+             for k in range(half + 1)]
+    return dims, socle
+
+
+def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
+    """The socle vector of ``stress_numbers``, in degrees 0..floor(d/2)."""
+    return stress_numbers(c, e)[1]
 
 
 def is_level(c: SimplicialComplex, e: Embedding, up_to: int) -> SequenceVerdict:

@@ -157,29 +157,21 @@ def _whole_catalog():
 
 # The first seed's stress numbers of each residual sphere, shared by the
 # stress and socle families: (sphere name, seed) -> (dims, socle).
-# run_families sets a fresh dict and drops it when it returns, so no call
-# reuses another call's work; outside run_families nothing is shared.
+# run_families sets a fresh dict, only when it runs both families, and
+# drops it when it returns, so no call reuses another call's work.  The
+# stress family alone ranks the first seed with stress_dim, which needs
+# no bases and no derivative spans.
 _seed_numbers: dict | None = None
 
 
 def _first_seed_numbers(sphere, seed: int) -> tuple[list[int], list[int]]:
-    """Stress dimensions in degrees 0..floor(d/2)+1 and the socle vector
-    in degrees 0..floor(d/2) of ``sphere`` under the generic embedding of
-    ``seed``, as ``stress.socle_dims`` computes it: one kernel basis per
-    degree, then the derivative span of each basis in the degree below.
-    Only the integers are kept, not the bases."""
+    """``stress.stress_numbers`` of ``sphere`` under the generic embedding
+    of ``seed``, looked up in ``_seed_numbers`` when it is set."""
     shared = {} if _seed_numbers is None else _seed_numbers
     key = (sphere.name, seed)
     if key not in shared:
-        c = sphere.complex
-        e = st.generic_embedding(c, seed)
-        half = (c.dim + 1) // 2
-        spaces = {k: st.stress_space(c, e, k) for k in range(1, half + 2)}
-        dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
-        socle = [dims[k] - st.derivative_span_dim(c, e, k, basis_above=spaces[k + 1],
-                                                  bound=dims[k])
-                 for k in range(half + 1)]
-        shared[key] = (dims, socle)
+        shared[key] = st.stress_numbers(sphere.complex,
+                                        st.generic_embedding(sphere.complex, seed))
     return shared[key]
 
 
@@ -234,7 +226,11 @@ def rows_stress(seed: int) -> list[CheckRow]:
         c = sphere.complex
         d = c.dim + 1
         g = g_vector(c)
-        dims, _ = _first_seed_numbers(sphere, seed)
+        if _seed_numbers is None:
+            e1 = st.generic_embedding(c, seed)
+            dims = [1] + [st.stress_dim(c, e1, k) for k in range(1, d // 2 + 1)]
+        else:
+            dims, _ = _first_seed_numbers(sphere, seed)
         e2 = st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET)
         for k in range(1, d // 2 + 1):
             d1 = dims[k]
@@ -403,7 +399,7 @@ def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
     global _seed_numbers
     report = VerificationReport(title="+".join(list(families) + [
         f"counterexample-{c[0]}" for c in counterexamples]))
-    _seed_numbers = {}
+    _seed_numbers = {} if {"stress", "socle"} <= set(families) else None
     try:
         for fam in families:
             _timed(report, fam, FAMILIES[fam], seed)

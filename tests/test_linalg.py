@@ -177,7 +177,6 @@ class TestInsertInvariants:
                 if other_pivot != rr.pivot_cols[i]:
                     assert other_pivot not in row
 
-
     def test_rows_end_at_their_pivots(self):
         rng = random.Random(2)
         for modulus in (None, 7):

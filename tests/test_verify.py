@@ -83,3 +83,10 @@ def test_socle_alone_matches_combined_run(calls):
     assert calls == ONCE_EACH
     assert alone == combined
     assert len(alone) == 2 + 3 + 1  # octahedron k=0..1, K-2-4 k=0..2, the level row
+
+
+def test_stress_alone_ranks_only(calls):
+    # without the socle family the first seed needs ranks, not bases
+    report = ver.run_families(["stress"], SEED)
+    assert report.ok
+    assert calls == Counter()
