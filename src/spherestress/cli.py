@@ -197,7 +197,7 @@ def cmd_alpha(args) -> int:
     c = sphere.complex
     g = graph_of(c)
     f = f_vector(c)
-    bound = turan_bound(f[1], f[2])
+    bound = turan_bound(f[1], f[2] if len(f) > 2 else 0)  # f_1 = 0 without edges
     try:
         alpha, witness = independence_number(g, cap=args.cap_vertices)
     except VertexCapExceeded as exc:

@@ -2,9 +2,9 @@
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
 vertex labels; all other faces are derived on demand.  The faces by
-dimension, the set of all faces (so ``is_face`` is one hash lookup) and
-the missing faces are each memoized per complex.  Every operation
-returns a new value, nothing is mutated.
+dimension, the set of all faces (so ``is_face`` is one hash lookup), the
+missing faces and the GF(2) homology sphere verdict are each memoized
+per complex.  Every operation returns a new value, nothing is mutated.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -80,6 +80,18 @@ class SimplicialComplex:
                         out.append(s)
         out.sort(key=lambda s: (len(s), sorted(s)))
         return tuple(MissingFace(s) for s in out)
+
+    @cached_property
+    def _z2_sphere(self) -> bool:
+        """The verdict of ``is_z2_homology_sphere`` on this pure complex."""
+        d = self.dim + 1
+        for fdim, faces in self.faces_by_dim.items():
+            for f in faces:
+                betti = z2_reduced_betti(link(self, f))
+                k = d - 2 - fdim  # dimension of the expected sphere
+                if betti != [1 if i == k + 1 else 0 for i in range(len(betti))]:
+                    return False
+        return True
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
@@ -339,21 +351,13 @@ def z2_reduced_betti(c: SimplicialComplex) -> list[int]:
 
 def is_z2_homology_sphere(c: SimplicialComplex) -> bool:
     """True when every face link (including the empty face) has the
-    reduced GF(2) homology of a sphere of the matching dimension."""
+    reduced GF(2) homology of a sphere of the matching dimension.  The
+    verdict is computed once per complex."""
     if c is EMPTY:
         return True
     if not c.is_pure():
         raise ValueError("homology sphere test needs a pure complex")
-    d = c.dim + 1
-    for fdim, faces in c.faces_by_dim.items():
-        for f in faces:
-            lk = link(c, f)
-            k = d - 2 - fdim  # dimension of the expected sphere
-            betti = z2_reduced_betti(lk)
-            expected = [1 if i == k + 1 else 0 for i in range(len(betti))]
-            if betti != expected:
-                return False
-    return True
+    return c._z2_sphere
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ the mod-p rank certificates below all go through it.  ``gf2_rank``
 keeps its own bit-mask loop.
 
 Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
-a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p).  When no
-denominator vanishes mod p, every row can be scaled by a unit to an
-integer row, and a nonzero minor mod p is a nonzero integer minor, so
-rank_p <= rank_Q.  That one inequality is the whole certificate:
-``kernel_basis`` returns the zero kernel without elimination over Q
-when rank_p equals the column count, and ``bounded_rank`` returns b
-without elimination over Q when the caller knows rank_Q <= b and
-rank_p = b.  In every other case (a denominator divisible by p, or a
-rank mod p short of the bound) the answer comes from elimination over Q.
+a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p); it is the
+one rational-to-GF(p) conversion, and ``modp_kernel`` goes through it.
+When no denominator vanishes mod p, every row can be scaled by a unit to
+an integer row, and a nonzero minor mod p is a nonzero integer minor, so
+rank_p <= rank_Q and the kernel mod p is at least as large as the
+kernel over Q.  ``kernel_basis`` uses this to return the zero kernel
+without elimination over Q when rank_p equals the column count; the
+stress module pairs it with a lower bound from theory to settle nonzero
+kernels.  In every other case (a denominator divisible by p, or a rank
+mod p short of what would settle the answer) the answer comes from
+elimination over Q.  Over Q and GF(p) alike, ``SparseRREF.kernel`` reads
+the canonical kernel basis off the free columns.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class SparseRREF:
     inserted rows, it is a combination of the larger columns, that is,
     exactly when some kernel vector starts there.  The free columns are
     thus the pivots of the kernel's reduced echelon basis taken from the
-    smallest column up, which ``kernel_basis`` reads off the stored rows
+    smallest column up, which ``kernel`` reads off the stored rows
     without a second elimination.
     """
 
@@ -126,6 +129,21 @@ class SparseRREF:
             self._col_rows.setdefault(cc, set()).add(idx)
         return True
 
+    def kernel(self, columns) -> list[dict]:
+        """The canonical kernel basis of the inserted rows over
+        ``columns``: each free column starts one vector, 1 there and
+        minus the stored rows' entries at their pivots, listed by free
+        column.  Over Q and over GF(p) alike."""
+        p = self.modulus
+        basis = []
+        for fc in sorted(c for c in columns if c not in self.row_of_pivot):
+            vec = {fc: Fraction(1) if p is None else 1}
+            for ri in self._col_rows.get(fc, ()):
+                x = -self.rows[ri][fc]
+                vec[self.pivot_cols[ri]] = x if p is None else x % p
+            basis.append(vec)
+        return basis
+
 
 def rank_of(vectors) -> int:
     """Exact rank of an iterable of sparse rational vectors."""
@@ -135,13 +153,19 @@ def rank_of(vectors) -> int:
     return rr.rank
 
 
-def modp_rank(rows):
+def modp_rank(rows, rr=None):
     """Rank over GF(PRIME) of an iterable of sparse rational rows, a
     proven lower bound on their rank over Q; None (no certificate) when
-    some denominator is divisible by PRIME."""
-    p = PRIME
+    some denominator is divisible by PRIME.
+
+    This is the one rational-to-GF(p) conversion: each entry a/b becomes
+    a * b^-1 mod p.  A caller that wants more than the rank passes its
+    own ``rr``, a ``SparseRREF`` over GF(PRIME), and reads it afterwards.
+    """
+    if rr is None:
+        rr = SparseRREF(modulus=PRIME)
+    p = rr.modulus
     inverses: dict = {}
-    rr = SparseRREF(modulus=p)
     for row in rows:
         vec = {}
         for c, x in row.items():
@@ -156,22 +180,15 @@ def modp_rank(rows):
     return rr.rank
 
 
-def bounded_rank(vectors, bound: int) -> int:
-    """Exact rank over Q of vectors whose rank is known to be at most
-    ``bound``.
-
-    A rank mod p equal to the bound proves the rank; a rank mod p above
-    it proves the caller's bound wrong and raises ValueError.  Otherwise
-    (no certificate, or a shorter rank mod p) the rank is computed over Q.
-    """
-    vectors = list(vectors)
-    r = modp_rank(vectors)
-    if r is not None:
-        if r > bound:
-            raise ValueError(f"rank mod p is {r}, above the claimed bound {bound}")
-        if r == bound:
-            return r
-    return rank_of(vectors)
+def modp_kernel(rows, columns) -> list[dict] | None:
+    """Canonical kernel basis over GF(PRIME) of the rational ``rows``
+    over ``columns``, as ``kernel_basis`` reads it off over Q; None when
+    some denominator is divisible by PRIME.  Its length is an upper
+    bound on the dimension of the kernel over Q."""
+    rr = SparseRREF(modulus=PRIME)
+    if modp_rank(rows, rr) is None:
+        return None
+    return rr.kernel(columns)
 
 
 def kernel_basis(rows, columns) -> list[dict]:
@@ -181,11 +198,9 @@ def kernel_basis(rows, columns) -> list[dict]:
     ``columns`` the full list of column keys, which must hold every key
     the rows use.  The result is the canonical kernel basis, reduced
     echelon with each vector's pivot at its smallest column and listed
-    by pivot column, so it is independent of row order.  Each free
-    column of ``SparseRREF`` starts one of its vectors (1 there, minus
-    the stored rows' entries at their pivots), so it comes out of the
-    one elimination.  A rank mod p equal to the column count certifies
-    the zero kernel, with no elimination over Q.
+    by pivot column, so it is independent of row order (see
+    ``SparseRREF.kernel``).  A rank mod p equal to the column count
+    certifies the zero kernel, with no elimination over Q.
     """
     rows = list(rows)
     if modp_rank(rows) == len(columns):
@@ -193,13 +208,7 @@ def kernel_basis(rows, columns) -> list[dict]:
     rr = SparseRREF()
     for r in rows:
         rr.insert(r)
-    basis = []
-    for fc in sorted(c for c in columns if c not in rr.row_of_pivot):
-        vec = {fc: Fraction(1)}
-        for ri in rr._col_rows.get(fc, ()):
-            vec[rr.pivot_cols[ri]] = -rr.rows[ri][fc]
-        basis.append(vec)
-    return basis
+    return rr.kernel(columns)
 
 
 def gf2_rank(rows) -> int:

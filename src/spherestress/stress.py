@@ -6,17 +6,29 @@ the derivative operators of the d coordinate linear forms and of the
 all-ones form.  Bases are exact kernels of the stacked operator matrix
 in their canonical reduced echelon form (each pivot at its vector's
 smallest column), read off the one elimination of that matrix, so they
-do not depend on row order.  Dimensions and ranks need no basis:
-``stress_dim`` is the column count minus the rank of the operator
-matrix, and socle dimensions compare each derivative span with the
-stress space it lies in.  Both ranks go through the mod-p certificate
-of ``linalg`` (a rank mod p is a lower bound on the rank over Q), which
-settles a zero kernel or a span as large as its known bound without
-elimination over Q, and otherwise falls back to exact elimination over
-Q.  Every answer is the exact rational one: coefficients are
-``fractions.Fraction`` end to end, and the cone-lift check is a
-span-membership test (an empty ``SparseRREF.reduce`` residual), not a
-linear solve.
+do not depend on row order.  Coefficients are ``fractions.Fraction``
+end to end, and the cone-lift check is a span-membership test (an
+empty ``SparseRREF.reduce`` residual), not a linear solve.
+
+Dimensions and socles need no basis over Q when a certificate settles
+them.  A rank mod p is at most the rank over Q, so the column count
+minus the rank mod p of the operator matrix is an upper bound on the
+stress dimension.  On a GF(2)-homology sphere (by universal coefficients
+a Q-homology sphere, and so are its links) whose embedding passes the
+Kind-Kleinschmidt (1979) l.s.o.p. test (every facet's coordinate minor
+nonzero mod p), the face ring is Cohen-Macaulay (Reisner 1976), the
+Artinian reduction has dim A_k = h_k (Stanley 1996), and the degree-k
+affine stresses, dual to A_k / omega A_{k-1} (Lee 1996), have dimension
+at least g_k = h_k - h_{k-1}.  When the two bounds meet, that is the
+dimension over Q, so a ``stress-dim-equals-g`` PASS rests on these
+theorems plus a rank mod p, not on a kernel over Q.  The same kernel mod
+p then bounds the rank of the derivative spans from below, which
+settles a zero socle (see ``stress_numbers``).  Anything else (a
+non-sphere, a singular facet minor, a denominator divisible by p, a
+short rank mod p, a nonzero socle under a nonzero space) is computed by
+exact elimination over Q.  The exported bases (``stress_space``,
+``cone_lift_check``, the support counterexample) are always exact
+kernels over Q.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -36,8 +48,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .complex_core import SimplicialComplex, cone, link, star
-from .enumeration import g_vector
+from .complex_core import SimplicialComplex, cone, is_z2_homology_sphere, link, star
+from .enumeration import g_vector, h_vector
 from .sequences import SequenceVerdict
 
 Monomial = tuple[int, ...]
@@ -274,17 +286,59 @@ def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, Fractio
                 if not a:
                     continue
                 # column ci meets row (j, nu) only through v = mu - nu
-                rows.setdefault((j, nu), {})[ci] = mult * a
+                rows.setdefault((j, nu), {})[ci] = a if mult == 1 else mult * a
     return list(rows.values())
 
 
+def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding) -> list[int] | None:
+    """The h-vector of ``c`` when the stress dimensions of ``e`` are
+    bounded below by it, None otherwise.
+
+    The bound needs ``c`` pure and a GF(2)-homology sphere, hence a
+    Q-homology sphere whose face ring is Cohen-Macaulay (Reisner 1976),
+    and the d coordinate forms of ``e`` an l.s.o.p.: every facet's d x d
+    coordinate matrix nonsingular (Kind-Kleinschmidt 1979), checked here
+    as a rank mod p, which is at most the rank over Q.  Then A =
+    Q[c]/(theta) has dim A_k = h_k (Stanley 1996), and the degree-k
+    affine stresses, dual to A_k / omega A_{k-1} (Lee 1996), have
+    dimension at least h_k - h_{k-1}.
+    """
+    d = c.dim + 1
+    if e.d != d or not c.is_pure() or not is_z2_homology_sphere(c):
+        return None
+    for f in c.facets:
+        minor = [{j: x for j, x in enumerate(e.coords[v]) if x} for v in f]
+        if linalg.modp_rank(minor) != d:
+            return None
+    return h_vector(c)
+
+
+def _dim_lower_bound(h: list[int] | None, k: int) -> int:
+    """max(h_k - h_{k-1}, 0), a proven lower bound on the degree-k stress
+    dimension when ``h`` comes from ``_cohen_macaulay_h``; 0 for None."""
+    if h is None:
+        return 0
+    hk, below = (h[i] if i < len(h) else 0 for i in (k, k - 1))
+    return max(hk - below, 0)
+
+
 def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
-    """Dimension of the degree-k stress space: columns minus the exact
-    rank of the operator matrix; no basis is built."""
+    """Dimension of the degree-k stress space; no basis is built.
+
+    The column count minus the rank mod p of the operator matrix is an
+    upper bound (rank_p <= rank_Q).  When it is 0, or meets the lower
+    bound max(g_k, 0) that ``_cohen_macaulay_h`` proves, it is the
+    dimension; otherwise the rank is computed over Q."""
     if k == 0:
         return 1  # the constants, so derivative chains terminate cleanly
     cols = face_monomials(c, k)
-    return len(cols) - linalg.bounded_rank(_operator_rows(e, cols), len(cols))
+    rows = _operator_rows(e, cols)
+    r = linalg.modp_rank(rows)
+    if r is not None:
+        upper = len(cols) - r
+        if upper == 0 or upper == _dim_lower_bound(_cohen_macaulay_h(c, e), k):
+            return upper
+    return len(cols) - linalg.rank_of(rows)
 
 
 def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
@@ -307,16 +361,24 @@ def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
 # Derivative spans, socle, level test
 # ---------------------------------------------------------------------------
 
-def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
-                        basis_above: StressBasis | None = None,
-                        bound: int | None = None) -> int:
-    """Rank of {d/dx_v omega : omega in a basis of the degree-(k+1)
-    space, v a vertex} inside the degree-k coefficient space.
+def _derivatives(polys) -> list[dict]:
+    """Every nonzero d/dx_v P for P in ``polys`` (term dicts, rational or
+    mod p) and v a vertex.  A term mu of P reaches only the term mu - v
+    of d/dx_v P, so no coefficient cancels."""
+    out = []
+    for terms in polys:
+        by_vertex: dict[int, dict] = {}
+        for mu, coef in terms.items():
+            for v, mult in _multiplicities(mu):
+                by_vertex.setdefault(v, {})[_remove_one(mu, v)] = coef * mult
+        out.extend(by_vertex.values())
+    return out
 
-    These derivatives are degree-k stresses, so the rank is at most the
-    degree-k stress dimension; a caller that knows it passes it as
-    ``bound``, and a rank mod p reaching the bound then proves the rank
-    without elimination over Q.
+
+def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
+                        basis_above: StressBasis | None = None) -> int:
+    """Rank over Q of {d/dx_v omega : omega in a basis of the degree-(k+1)
+    space, v a vertex} inside the degree-k coefficient space.
 
     Convention at k = 0: the span of first derivatives of linear
     stresses is the constants, so the dimension is 1 exactly when the
@@ -324,29 +386,47 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
     """
     if basis_above is None:
         basis_above = stress_space(c, e, k + 1)
-    vectors = []
-    for omega in basis_above.polys:
-        for v in c.vertices:
-            dv = _apply_form(omega.terms, {v: Fraction(1)})
-            if dv:
-                vectors.append(dv)
-    if bound is None:
-        return linalg.rank_of(vectors)
-    return linalg.bounded_rank(vectors, bound)
+    return linalg.rank_of(_derivatives(p.terms for p in basis_above.polys))
 
 
 def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[int]]:
     """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
-    vector in degrees 0..floor(d/2), from one stress basis per degree:
-    the socle in degree k is the degree-k dimension minus the rank of the
-    variable-derivative images from degree k+1 (the socle of the
-    Artinian reduction, computed dually).  Only the integers are
-    returned, not the bases."""
+    vector in degrees 0..floor(d/2); only the integers are returned.
+
+    The socle in degree k is the degree-k dimension minus the rank of
+    the derivatives of the degree-(k+1) stresses (the socle of the
+    Artinian reduction, computed dually).  Where ``_cohen_macaulay_h``
+    applies, a degree whose kernel mod p is as small as the lower bound
+    has that dimension, and its kernel mod p is the reduction of the
+    p-integral stresses over Q, so the rank mod p of its derivatives is
+    at most their rank over Q: reaching the degree-k dimension proves
+    the degree-k socle 0.  A socle above a zero space is the whole
+    degree-k space.  Every other degree, and every other socle, is
+    computed over Q.
+    """
     half = (c.dim + 1) // 2
-    spaces = {k: stress_space(c, e, k) for k in range(1, half + 2)}
-    dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
-    socle = [dims[k] - derivative_span_dim(c, e, k, basis_above=spaces[k + 1], bound=dims[k])
-             for k in range(half + 1)]
+    h = _cohen_macaulay_h(c, e)
+    dims, modp, exact = [1], {}, {}
+    for k in range(1, half + 2):
+        cols = face_monomials(c, k)
+        kernel = None
+        if h is not None:
+            kernel = linalg.modp_kernel(_operator_rows(e, cols), range(len(cols)))
+        if kernel is not None and len(kernel) == _dim_lower_bound(h, k):
+            modp[k] = [{cols[ci]: x for ci, x in vec.items()} for vec in kernel]
+            dims.append(len(kernel))
+        else:
+            exact[k] = stress_space(c, e, k, monomials=cols)
+            dims.append(exact[k].dim)
+    socle = []
+    for k in range(half + 1):
+        if not dims[k + 1]:
+            socle.append(dims[k])
+        elif k + 1 in modp and linalg.modp_rank(_derivatives(modp[k + 1])) == dims[k]:
+            socle.append(0)
+        else:
+            above = exact[k + 1] if k + 1 in exact else stress_space(c, e, k + 1)
+            socle.append(dims[k] - derivative_span_dim(c, e, k, basis_above=above))
     return dims, socle
 
 

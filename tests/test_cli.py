@@ -193,6 +193,15 @@ class TestSeqAndAlpha:
         assert doc["alpha"] == 2
         assert doc["turan_bound"] == "6/5"
 
+    def test_alpha_without_edges(self, capsys, monkeypatch):
+        # the 0-sphere has no edges, so f_1 = 0 and f0^2/(2 f1 + f0) = 2
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"facets": [[1], [2]]}'))
+        code, out, _ = run(capsys, "alpha", "-", "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["alpha"] == 2
+        assert doc["turan_bound"] == "2/1"
+
 
 class TestS24Command:
     def test_verify(self, capsys):

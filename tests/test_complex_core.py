@@ -280,6 +280,21 @@ class TestHomology:
         from spherestress.complex_core import z2_reduced_betti
         assert z2_reduced_betti(EMPTY) == [1]
 
+    @pytest.mark.parametrize("name", ["octahedron", "disk"])
+    def test_verdict_computed_once(self, name, monkeypatch):
+        from spherestress import complex_core
+        c = (ss.from_facets([[1, 2, 3]]) if name == "disk"
+             else ss.build(name).complex)
+        calls = []
+        real = complex_core.z2_reduced_betti
+        monkeypatch.setattr(complex_core, "z2_reduced_betti",
+                            lambda lk: calls.append(lk) or real(lk))
+        first = ss.is_z2_homology_sphere(c)
+        assert calls
+        calls.clear()
+        assert ss.is_z2_homology_sphere(c) == first == (name != "disk")
+        assert calls == []
+
 
 class TestIsomorphism:
     def test_relabeled_cycles(self):

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import spherestress as ss
 from spherestress import linalg
+from spherestress import stress as st
 from spherestress.stress import Embedding, basis_to_jsonable
 
 
@@ -289,9 +292,9 @@ class TestModpFallback:
         outcomes = []
         modp_rank = linalg.modp_rank
 
-        def spy(rows):
+        def spy(rows, *args):
             rows = list(rows)
-            r = modp_rank(rows)
+            r = modp_rank(rows, *args)
             outcomes.append((r, linalg.rank_of(rows)))
             return r
 
@@ -300,3 +303,117 @@ class TestModpFallback:
         assert [self.snapshot(c, e) for c, e in cases] == expected
         assert any(r is None for r, _ in outcomes)
         assert any(r is not None and r < exact for r, exact in outcomes)
+
+
+def q_numbers(c, e):
+    """``stress_numbers`` computed over Q alone: one exact stress basis per
+    degree and the exact rank of each derivative span."""
+    half = (c.dim + 1) // 2
+    spaces = {k: ss.stress_space(c, e, k) for k in range(1, half + 2)}
+    dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
+    socle = [dims[k] - ss.derivative_span_dim(c, e, k, basis_above=spaces[k + 1])
+             for k in range(half + 1)]
+    return dims, socle
+
+
+def torus():
+    """The 7-vertex triangulation of the torus."""
+    return ss.from_facets([[i % 7 + 1, (i + j) % 7 + 1, (i + 3) % 7 + 1]
+                           for i in range(7) for j in (1, 2)])
+
+
+RP2 = [[1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
+       [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6]]
+
+
+@pytest.fixture
+def q_path(monkeypatch):
+    """Count the exact stress bases and exact ranks the stress module asks
+    for: the Q path that the GF(p) certificate replaces."""
+    calls = {"stress_space": 0, "rank_of": 0}
+    for mod, name in ((st, "stress_space"), (linalg, "rank_of")):
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestCohenMacaulayCertificate:
+    """Dims and socles certified over GF(p) by the lower bound g_k on a
+    GF(2)-sphere with an l.s.o.p. embedding; the exact Q path runs
+    exactly where the certificate does not apply."""
+
+    @staticmethod
+    def dims(c, e):
+        return [ss.stress_dim(c, e, k) for k in range(1, (c.dim + 1) // 2 + 2)]
+
+    @pytest.mark.parametrize("name", ["octahedron", "cross-4", "K-2-4", "cyclejoin-3-4"])
+    def test_certified_spheres_skip_q(self, name, q_path):
+        c = build(name).complex
+        e = ss.generic_embedding(c, 1)
+        expected = q_numbers(c, e)
+        q_path.update(stress_space=0, rank_of=0)
+        assert st.stress_numbers(c, e) == expected
+        assert self.dims(c, e) == expected[0][1:]
+        assert q_path == {"stress_space": 0, "rank_of": 0}
+
+    def test_nonzero_socle_under_nonzero_space_falls_back(self, q_path):
+        c = build("K-2-5").complex
+        e = ss.generic_embedding(c, 7)
+        expected = q_numbers(c, e)
+        q_path.update(stress_space=0, rank_of=0)
+        assert st.stress_numbers(c, e) == expected
+        assert expected[1] == [0, 0, 1, 1]
+        # only the degree-2 socle: one exact degree-3 basis, one exact span
+        assert q_path == {"stress_space": 1, "rank_of": 1}
+
+    def check_falls_back(self, c, e, q_path):
+        expected = q_numbers(c, e)
+        dims = expected[0][1:]
+        q_path.update(stress_space=0, rank_of=0)
+        assert st.stress_numbers(c, e) == expected
+        assert q_path["stress_space"] == len(dims)  # every degree
+        q_path.update(stress_space=0, rank_of=0)
+        assert self.dims(c, e) == dims
+        assert q_path["rank_of"] >= sum(1 for x in dims if x)  # every nonzero kernel
+
+    def test_prime_three(self, q_path, monkeypatch):
+        monkeypatch.setattr(linalg, "PRIME", 3)
+        c = build("K-2-4").complex
+        self.check_falls_back(c, ss.generic_embedding(c, 1), q_path)
+
+    def test_singular_facet_minor(self, q_path):
+        c = build("octahedron").complex
+        coords = dict(ss.generic_embedding(c, 1).coords)
+        a, b, v = sorted(min(c.facets, key=sorted))
+        coords[v] = tuple(x + y for x, y in zip(coords[a], coords[b]))
+        self.check_falls_back(c, Embedding(coords, 3, "natural"), q_path)
+
+    @pytest.mark.parametrize("c", [ss.from_facets(RP2), torus()], ids=["rp2", "torus"])
+    def test_non_sphere(self, c, q_path):
+        assert not ss.is_z2_homology_sphere(c)
+        self.check_falls_back(c, ss.generic_embedding(c, 1), q_path)
+
+    def test_non_pure(self, q_path):
+        c = ss.from_facets([[1, 2, 3], [3, 4]])
+        assert not c.is_pure()
+        self.check_falls_back(c, ss.generic_embedding(c, 1), q_path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
+                            "K-2-4"]), hs.data())
+    def test_matches_q_path(self, name, data):
+        # coordinates in -2..2 make singular facet minors, degenerate
+        # embeddings and every fallback common
+        c = build(name).complex
+        d = c.dim + 1
+        coords = {v: tuple(Fraction(x) for x in data.draw(
+            hs.lists(hs.integers(-2, 2), min_size=d, max_size=d), label=f"vertex {v}"))
+            for v in c.vertices}
+        e = Embedding(coords, d, "natural")
+        expected = q_numbers(c, e)
+        assert st.stress_numbers(c, e) == expected
+        assert self.dims(c, e) == expected[0][1:]

@@ -17,9 +17,9 @@ SEED = 17
 @pytest.fixture
 def calls(monkeypatch):
     """Shrink the residual catalog to the octahedron and K-2-4, and count
-    the stress spaces computed on its spheres, keyed by (sphere name,
-    embedding seed, degree).  Spaces of other complexes (the K-2-4 that
-    the level check builds itself) are not counted."""
+    the ``stress.stress_numbers`` calls on its spheres, keyed by (sphere
+    name, embedding seed).  Calls on other complexes (the K-2-4 that the
+    level check builds itself) are not counted."""
     made = {}  # id of a catalog complex -> (complex, sphere name)
 
     def residual_catalog():
@@ -29,21 +29,19 @@ def calls(monkeypatch):
         return spheres
 
     counter = Counter()
-    real = st.stress_space
+    real = st.stress_numbers
 
-    def stress_space(c, e, k, *args, **kwargs):
+    def stress_numbers(c, e):
         if id(c) in made:
-            counter[(made[id(c)][1], e.seed, k)] += 1
-        return real(c, e, k, *args, **kwargs)
+            counter[(made[id(c)][1], e.seed)] += 1
+        return real(c, e)
 
     monkeypatch.setattr(cat, "residual_catalog", residual_catalog)
-    monkeypatch.setattr(st, "stress_space", stress_space)
+    monkeypatch.setattr(st, "stress_numbers", stress_numbers)
     return counter
 
 
-# degrees 1..floor(d/2)+1: d = 3 for the octahedron, d = 5 for K-2-4
-ONCE_EACH = Counter({("octahedron", SEED, 1): 1, ("octahedron", SEED, 2): 1,
-                     ("K-2-4", SEED, 1): 1, ("K-2-4", SEED, 2): 1, ("K-2-4", SEED, 3): 1})
+ONCE_EACH = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 1})
 
 
 def socle_rows(report):
@@ -62,7 +60,7 @@ def test_one_space_per_sphere_and_degree(calls, monkeypatch):
     report = ver.run_families(["stress", "socle"], SEED)
     assert report.ok
     assert calls == ONCE_EACH
-    # the first seed's dims come from the shared spaces; only the second
+    # the first seed's dims come from the shared numbers; only the second
     # seed and the natural embeddings are ranked by stress_dim
     assert SEED not in dim_seeds
     assert SEED + st.SECOND_SEED_OFFSET in dim_seeds
@@ -86,7 +84,7 @@ def test_socle_alone_matches_combined_run(calls):
 
 
 def test_stress_alone_ranks_only(calls):
-    # without the socle family the first seed needs ranks, not bases
+    # without the socle family the first seed needs ranks, not socles
     report = ver.run_families(["stress"], SEED)
     assert report.ok
     assert calls == Counter()
