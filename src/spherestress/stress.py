@@ -400,9 +400,9 @@ def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[
     has that dimension, and its kernel mod p is the reduction of the
     p-integral stresses over Q, so the rank mod p of its derivatives is
     at most their rank over Q: reaching the degree-k dimension proves
-    the degree-k socle 0.  A socle above a zero space is the whole
-    degree-k space.  Every other degree, and every other socle, is
-    computed over Q.
+    the degree-k socle 0.  Under a zero degree-(k+1) space the socle is
+    the whole degree-k space.  Every other degree, and every other
+    socle, is computed over Q.
     """
     half = (c.dim + 1) // 2
     h = _cohen_macaulay_h(c, e)
