@@ -73,6 +73,15 @@ def _embedding_for(sphere: cat.NamedSphere, kind: str, seed: int) -> st.Embeddin
     return st.generic_embedding(sphere.complex, seed)
 
 
+def _require_sphere(sphere: cat.NamedSphere) -> None:
+    """Stress and socle statements assume a sphere: reject a complex that
+    fails the GF(2) homology sphere test (a non-pure one raises
+    ValueError there)."""
+    if not cc.is_z2_homology_sphere(sphere.complex):
+        raise CliInputError(f"{sphere.name} is not a GF(2) homology sphere; "
+                            "stress and socle statements assume one")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -133,6 +142,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_stress(args) -> int:
     sphere = _resolve_target(args.target)
+    _require_sphere(sphere)
     c = sphere.complex
     emb = _embedding_for(sphere, args.embedding, args.seed)
     basis = st.stress_space(c, emb, args.degree)
@@ -157,6 +167,7 @@ def cmd_stress(args) -> int:
 
 def cmd_socle(args) -> int:
     sphere = _resolve_target(args.target)
+    _require_sphere(sphere)
     c = sphere.complex
     emb = _embedding_for(sphere, args.embedding, args.seed)
     soc = st.socle_dims(c, emb)

@@ -6,6 +6,10 @@ dimension, the set of all faces (so ``is_face`` is one hash lookup), the
 missing faces and the GF(2) homology sphere verdict are each memoized
 per complex.  Every operation returns a new value, nothing is mutated.
 
+The homology sphere test builds no link complex.  It numbers the faces
+once, reads each face's link from the face's cofaces in that numbering,
+and settles facets and ridges by counting.
+
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
 (-1)-dimensional sphere; ``from_facets`` never produces it.
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import gf2_rank
+from .linalg import gf2_pivots
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,34 @@ class SimplicialComplex:
 
     @cached_property
     def _z2_sphere(self) -> bool:
-        """The verdict of ``is_z2_homology_sphere`` on this pure complex."""
-        d = self.dim + 1
-        for fdim, faces in self.faces_by_dim.items():
-            for f in faces:
-                betti = z2_reduced_betti(link(self, f))
-                k = d - 2 - fdim  # dimension of the expected sphere
-                if betti != [1 if i == k + 1 else 0 for i in range(len(betti))]:
+        """The verdict of ``is_z2_homology_sphere`` on this pure complex.
+
+        No link complex is built.  The cofaces of each face t, one bit
+        mask over the face ids, come from the top dimension down:
+        cof(t) is t with the cofaces of every face covering t.  Shifted
+        down by |t| dimensions they are the faces of lk t, so
+        ``_z2_betti`` on them is the homology of lk t.  Facets and
+        ridges are settled by counting: a facet's link is {∅}, always
+        a (-1)-sphere, and a ridge's link is a set of points, a
+        0-sphere exactly when the ridge lies in two facets.  Only two
+        dimensions of coface masks are alive at a time.
+        """
+        down, boundary, starts = _numbered_faces(self)
+        top = len(starts) - 2  # the facets' level; level i holds the (i-1)-faces
+        cof = [1 << s for s in range(starts[top], starts[top + 1])]
+        for lv in range(top - 1, -1, -1):
+            first, above = starts[lv], cof
+            cof = [1 << s for s in range(first, starts[lv + 1])]
+            for s, m in enumerate(above, starts[lv + 1]):
+                for t in down[s]:
+                    cof[t - first] |= m
+            if lv == top - 1:
+                if any(m.bit_count() != 3 for m in cof):  # a ridge and two facets
+                    return False
+                continue
+            for m in cof:
+                betti = _z2_betti(boundary, starts, lv, m)
+                if betti[-1] != 1 or any(betti[:-1]):
                     return False
         return True
 
@@ -320,6 +345,58 @@ def contract_edge(c: SimplicialComplex, u: int, v: int) -> SimplicialComplex:
 # Homology over the two-element field
 # ---------------------------------------------------------------------------
 
+def _numbered_faces(c: SimplicialComplex):
+    """Number the faces of ``c`` by dimension, the empty face first.
+
+    Returns each face's codimension-1 faces as a tuple of ids and as a
+    bit mask, and the first id of every level (level i holds the
+    (i-1)-faces) followed by the face count.
+    """
+    ids: dict[frozenset[int], int] = {}
+    down: list[tuple[int, ...]] = []
+    boundary: list[int] = []
+    starts = []
+    for k in range(-1, c.dim + 1):
+        starts.append(len(down))
+        for f in c.faces(k):
+            ids[f] = len(down)
+            below = tuple(ids[f - {v}] for v in f)
+            down.append(below)
+            boundary.append(sum(1 << b for b in below))
+    starts.append(len(down))
+    return down, boundary, starts
+
+
+def _z2_betti(boundary: list[int], starts: list[int], low: int, cells: int) -> list[int]:
+    """Reduced GF(2) Betti numbers of the chain complex on the faces in
+    the bit mask ``cells``, levels ``low`` and up, where each face's
+    ``boundary`` is restricted to ``cells``.  Entry i is level low + i.
+
+    ``z2_reduced_betti`` and every face link of the homology sphere test
+    go through here.  The boundary ranks come from ``gf2_pivots``, from
+    the top level down, with clearing (Chen-Kerber 2011): a pivot i
+    found on level l + 1 is a boundary equal to face i plus faces of
+    lower id, so the boundary of face i is a sum of boundaries of lower
+    ids and its row adds no rank on level l; it is skipped.
+    """
+    top = len(starts) - 2
+    counts, ranks = {}, {low: 0, top + 1: 0}
+    cleared = 0
+    for lv in range(top, low - 1, -1):
+        level = cells & (((1 << (starts[lv + 1] - starts[lv])) - 1) << starts[lv])
+        counts[lv] = level.bit_count()
+        if lv > low:
+            level &= ~cleared
+            rows = []
+            while level:
+                bit = level & -level
+                rows.append(boundary[bit.bit_length() - 1] & cells)
+                level ^= bit
+            cleared = gf2_pivots(rows)
+            ranks[lv] = cleared.bit_count()
+    return [counts[lv] - ranks[lv] - ranks[lv + 1] for lv in range(low, top + 1)]
+
+
 def z2_reduced_betti(c: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers over GF(2), indexed from dimension -1.
 
@@ -327,32 +404,17 @@ def z2_reduced_betti(c: SimplicialComplex) -> list[int]:
     augmentation map to the empty face is included, so the result for a
     k-sphere is 1 in position k+1 and 0 elsewhere.
     """
-    if c is EMPTY:
-        return [1]
-    fbd = c.faces_by_dim
-    index = {d: {f: i for i, f in enumerate(sorted(fs, key=sorted))}
-             for d, fs in fbd.items()}
-    ranks: dict[int, int] = {}
-    for d in range(0, c.dim + 1):
-        below = index[d - 1]
-        rows = []
-        for f in index[d]:
-            mask = 0
-            for v in f:
-                mask |= 1 << below[f - {v}]
-            rows.append(mask)
-        ranks[d] = gf2_rank(rows)
-    betti = []
-    for d in range(-1, c.dim + 1):
-        n_d = len(fbd.get(d, ()))
-        betti.append(n_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return betti
+    _, boundary, starts = _numbered_faces(c)
+    return _z2_betti(boundary, starts, 0, (1 << len(boundary)) - 1)
 
 
 def is_z2_homology_sphere(c: SimplicialComplex) -> bool:
-    """True when every face link (including the empty face) has the
-    reduced GF(2) homology of a sphere of the matching dimension.  The
-    verdict is computed once per complex."""
+    """True when every face link (the empty face's, the whole complex,
+    included) has the reduced GF(2) homology of a sphere of the matching
+    dimension.  Links are read from the cofaces of each face, not built
+    as complexes; facets pass by definition and a ridge passes when it
+    lies in exactly two facets.  The verdict is computed once per
+    complex; a non-pure complex raises ValueError."""
     if c is EMPTY:
         return True
     if not c.is_pure():

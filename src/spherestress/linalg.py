@@ -6,8 +6,8 @@ GF(p) rows map keys to ints in [0, p), and GF(2) rows are Python
 integers used as bit masks.  ``SparseRREF.insert`` is the one
 elimination loop over Q and GF(p), with one pivot rule: ranks, kernel
 bases, span membership (an empty ``SparseRREF.reduce`` residual) and
-the mod-p rank certificates below all go through it.  ``gf2_rank``
-keeps its own bit-mask loop.
+the mod-p rank certificates below all go through it.  GF(2) has its
+own bit-mask loop, ``gf2_pivots``; ``gf2_rank`` counts its pivots.
 
 Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
 a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p); it is the
@@ -211,17 +211,25 @@ def kernel_basis(rows, columns) -> list[dict]:
     return rr.kernel(columns)
 
 
-def gf2_rank(rows) -> int:
-    """Rank over GF(2) of an iterable of integer bit masks."""
+def gf2_pivots(rows) -> int:
+    """The leading bits of a GF(2) echelon basis of an iterable of
+    integer bit masks, as one mask; its bit count is the rank.
+
+    Each pivot is its row's highest bit, so a leading bit i marks a
+    combination of the rows that is bit i plus lower bits only.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for r in rows:
         while r:
-            low = r & -r
-            p = pivots.get(low)
+            top = r.bit_length()
+            p = pivots.get(top)
             if p is None:
-                pivots[low] = r
-                rank += 1
+                pivots[top] = r
                 break
             r ^= p
-    return rank
+    return sum(1 << (top - 1) for top in pivots)
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of an iterable of integer bit masks."""
+    return gf2_pivots(rows).bit_count()

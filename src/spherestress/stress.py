@@ -322,23 +322,36 @@ def _dim_lower_bound(h: list[int] | None, k: int) -> int:
     return max(hk - below, 0)
 
 
-def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
-    """Dimension of the degree-k stress space; no basis is built.
+def stress_dims(c: SimplicialComplex, e: Embedding, degrees) -> list[int]:
+    """Dimension of the degree-k stress space for each k in ``degrees``;
+    no basis is built.
 
     The column count minus the rank mod p of the operator matrix is an
     upper bound (rank_p <= rank_Q).  When it is 0, or meets the lower
     bound max(g_k, 0) that ``_cohen_macaulay_h`` proves, it is the
-    dimension; otherwise the rank is computed over Q."""
-    if k == 0:
-        return 1  # the constants, so derivative chains terminate cleanly
-    cols = face_monomials(c, k)
-    rows = _operator_rows(e, cols)
-    r = linalg.modp_rank(rows)
-    if r is not None:
-        upper = len(cols) - r
-        if upper == 0 or upper == _dim_lower_bound(_cohen_macaulay_h(c, e), k):
-            return upper
-    return len(cols) - linalg.rank_of(rows)
+    dimension; otherwise the rank is computed over Q.  The lower bound
+    is checked once per call, for all degrees."""
+    h = _cohen_macaulay_h(c, e)
+    dims = []
+    for k in degrees:
+        if k == 0:
+            dims.append(1)  # the constants, so derivative chains terminate cleanly
+            continue
+        cols = face_monomials(c, k)
+        rows = _operator_rows(e, cols)
+        r = linalg.modp_rank(rows)
+        if r is not None:
+            upper = len(cols) - r
+            if upper == 0 or upper == _dim_lower_bound(h, k):
+                dims.append(upper)
+                continue
+        dims.append(len(cols) - linalg.rank_of(rows))
+    return dims
+
+
+def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
+    """Dimension of the degree-k stress space (``stress_dims`` of one degree)."""
+    return stress_dims(c, e, [k])[0]
 
 
 def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,

@@ -159,7 +159,7 @@ def _whole_catalog():
 # stress and socle families: (sphere name, seed) -> (dims, socle).
 # run_families sets a fresh dict, only when it runs both families, and
 # drops it when it returns, so no call reuses another call's work.  The
-# stress family alone ranks the first seed with stress_dim, which needs
+# stress family alone ranks the first seed with stress_dims, which needs
 # no bases and no derivative spans.
 _seed_numbers: dict | None = None
 
@@ -226,22 +226,22 @@ def rows_stress(seed: int) -> list[CheckRow]:
         c = sphere.complex
         d = c.dim + 1
         g = g_vector(c)
+        degrees = range(d // 2 + 1)
         if _seed_numbers is None:
-            e1 = st.generic_embedding(c, seed)
-            dims = [1] + [st.stress_dim(c, e1, k) for k in range(1, d // 2 + 1)]
+            dims = st.stress_dims(c, st.generic_embedding(c, seed), degrees)
         else:
             dims, _ = _first_seed_numbers(sphere, seed)
-        e2 = st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET)
-        for k in range(1, d // 2 + 1):
-            d1 = dims[k]
-            d2 = st.stress_dim(c, e2, k)
+        second = st.stress_dims(c, st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET),
+                                degrees)
+        for k in degrees[1:]:
+            d1, d2 = dims[k], second[k]
             rows.append(CheckRow("stress-dim-seed-stable", f"{sphere.name}[k={k}]",
                                  _fmt(d1), _fmt(d2), d1 == d2))
             rows.append(CheckRow("stress-dim-equals-g", f"{sphere.name}[k={k}]",
                                  _fmt(d1), _fmt(g[k]), d1 == g[k]))
     poly = cat.build("polytope-1")
     g = g_vector(poly.complex)
-    dims = [st.stress_dim(poly.complex, poly.natural_coords, k) for k in (1, 2, 3)]
+    dims = st.stress_dims(poly.complex, poly.natural_coords, (1, 2, 3))
     rows.append(CheckRow("stress-dim-natural", "polytope-1[k=1..3]",
                          _fmt(dims), _fmt([g[1], g[2], g[3]]),
                          dims == [g[1], g[2], g[3]] == [2, 3, 1]))
@@ -250,7 +250,7 @@ def rows_stress(seed: int) -> list[CheckRow]:
         c = sphere.complex
         g = g_vector(c)
         d = c.dim + 1
-        dims = [st.stress_dim(c, sphere.natural_coords, k) for k in range(1, d // 2 + 1)]
+        dims = st.stress_dims(c, sphere.natural_coords, range(1, d // 2 + 1))
         rows.append(CheckRow("stress-dim-natural", name, _fmt(dims),
                              _fmt(g[1:d // 2 + 1]), dims == list(g[1:d // 2 + 1])))
     return rows

@@ -143,6 +143,22 @@ class TestCatalog:
         assert code == 2
 
 
+# A disk, the 7-vertex torus and a non-pure complex: none is a sphere.
+NON_SPHERES = {
+    "disk": [[1, 2, 3]],
+    "torus": [[(i + a) % 7 + 1 for a in t] for i in range(7) for t in ((0, 1, 3), (0, 2, 3))],
+    "non-pure": [[1, 2, 3], [3, 4]],
+}
+
+
+def assert_rejected(name, code, out, err):
+    assert code == 2 and out == ""
+    if name == "non-pure":
+        assert err == "error: homology sphere test needs a pure complex\n"
+    else:
+        assert err.startswith(f"error: {name} is not a GF(2) homology sphere")
+
+
 class TestStressAndSocle:
     def test_stress_dim_natural(self, capsys):
         code, out, _ = run(capsys, "stress", "polytope-1", "--degree", "3",
@@ -172,6 +188,18 @@ class TestStressAndSocle:
         code, out, _ = run(capsys, "socle", "K-2-5", "--json")
         doc = json.loads(out)
         assert doc["socle"] == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("name", NON_SPHERES)
+    def test_stress_rejects_non_spheres(self, name, capsys, monkeypatch):
+        doc = {"name": name, "facets": NON_SPHERES[name]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert_rejected(name, *run(capsys, "stress", "-", "--degree", "1", "--json"))
+
+    @pytest.mark.parametrize("name", NON_SPHERES)
+    def test_socle_rejects_non_spheres(self, name, capsys, monkeypatch):
+        doc = {"name": name, "facets": NON_SPHERES[name]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert_rejected(name, *run(capsys, "socle", "-", "--json"))
 
 
 class TestSeqAndAlpha:

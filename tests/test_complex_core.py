@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import spherestress as ss
-from spherestress.complex_core import EMPTY, _make
+from spherestress import complex_core as cc
+from spherestress.complex_core import EMPTY, _make, z2_reduced_betti
+from spherestress.linalg import gf2_rank
 
 
 def facet_sets(c):
@@ -251,6 +253,87 @@ class TestContraction:
                 assert (lk_e != common) == in_missing
 
 
+def reference_betti(c):
+    """Reduced GF(2) Betti numbers from the full boundary matrices, one
+    ``gf2_rank`` per dimension, indexed from dimension -1."""
+    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in c.faces_by_dim.items()}
+    ranks = {d: gf2_rank(sum(1 << index[d - 1][f - {v}] for v in f) for f in index[d])
+             for d in range(c.dim + 1)}
+    return [len(index[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(-1, c.dim + 1)]
+
+
+def reference_z2_sphere(c):
+    """The link-by-link definition: every face link, the empty face's
+    included, is built as a complex and must have the reduced GF(2)
+    homology of a sphere of dimension dim - |face|."""
+    for faces in c.faces_by_dim.values():
+        for f in faces:
+            betti = z2_reduced_betti(ss.link(c, f))
+            k = c.dim - len(f)
+            if betti != [1 if i == k + 1 else 0 for i in range(len(betti))]:
+                return False
+    return True
+
+
+RP2 = [[1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
+       [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6]]
+TORUS = [[(i + a) % 7 + 1 for a in t] for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+
+
+def octahedra_at_a_vertex():
+    """Two octahedra sharing vertex 1 and nothing else."""
+    octa = [sorted(f) for f in ss.build("octahedron").complex.facets]
+    return octa + [[v if v == 1 else v + 10 for v in f] for f in octa]
+
+
+# Pure complexes that are not GF(2) homology spheres, each with one defect.
+NOT_SPHERES = {
+    "rp2": RP2,
+    "torus": TORUS,
+    "disk": [[1, 2, 3]],
+    "octahedron-minus-a-facet": sorted(
+        sorted(f) for f in ss.build("octahedron").complex.facets)[1:],
+    "octahedra-glued-at-a-vertex": octahedra_at_a_vertex(),
+    "edge-in-three-triangles": [[1, 2, 3], [1, 2, 4], [1, 2, 5]],
+    "square-join-three-points": [[a, b, p] for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))
+                                 for p in (5, 6, 7)],
+    "three-points": [[1], [2], [3]],
+}
+
+SMALL_SPHERES = {
+    "two-points": ss.from_facets([[1], [2]]),
+    "cycle-5": ss.cycle(5),
+    "boundary-simplex-3": ss.boundary_simplex(3),
+    "boundary-simplex-4": ss.boundary_simplex(4),
+    "suspended-cycle-5": ss.suspension(ss.cycle(5)),
+    "cycle-3-join-cycle-3": ss.join(ss.cycle(3), ss.cycle(3)),
+    "octahedron": ss.build("octahedron").complex,
+    "cross-4": ss.build("cross-4").complex,
+}
+
+
+@hs.composite
+def pure_complexes(draw):
+    """Pure complexes of dimension 1-3 on at most 8 vertices: random
+    facets, or a relabeled small sphere, in half of the draws with up
+    to two facets dropped and up to two added."""
+    if not draw(hs.booleans()):
+        k = draw(hs.integers(2, 4))
+        return ss.from_facets(draw(hs.lists(hs.sets(hs.integers(1, 8), min_size=k, max_size=k),
+                                            min_size=1, max_size=12)))
+    base = draw(hs.sampled_from([c for c in SMALL_SPHERES.values() if c.dim >= 1]))
+    label = draw(hs.permutations(range(1, 9)))
+    facets = sorted(sorted(label[v - 1] for v in f) for f in base.facets)
+    if draw(hs.booleans()):
+        drop = draw(hs.sets(hs.integers(0, len(facets) - 1), max_size=2))
+        facets = [f for i, f in enumerate(facets) if i not in drop]
+        k = base.dim + 1
+        facets += draw(hs.lists(hs.sets(hs.integers(1, 8), min_size=k, max_size=k),
+                                min_size=0 if facets else 1, max_size=2))
+    return ss.from_facets(facets)
+
+
 class TestHomology:
     def test_spheres(self):
         assert ss.is_z2_homology_sphere(ss.build("octahedron").complex)
@@ -282,18 +365,43 @@ class TestHomology:
 
     @pytest.mark.parametrize("name", ["octahedron", "disk"])
     def test_verdict_computed_once(self, name, monkeypatch):
-        from spherestress import complex_core
         c = (ss.from_facets([[1, 2, 3]]) if name == "disk"
              else ss.build(name).complex)
         calls = []
-        real = complex_core.z2_reduced_betti
-        monkeypatch.setattr(complex_core, "z2_reduced_betti",
-                            lambda lk: calls.append(lk) or real(lk))
+        for fn in ("_numbered_faces", "gf2_pivots"):
+            real = getattr(cc, fn)
+            monkeypatch.setattr(cc, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
         first = ss.is_z2_homology_sphere(c)
-        assert calls
+        assert "_numbered_faces" in calls
+        # the disk's edges lie in one triangle each: settled by counting
+        assert ("gf2_pivots" in calls) == (name != "disk")
         calls.clear()
         assert ss.is_z2_homology_sphere(c) == first == (name != "disk")
         assert calls == []
+
+    @pytest.mark.parametrize("name", NOT_SPHERES)
+    def test_fixed_non_spheres(self, name):
+        c = ss.from_facets(NOT_SPHERES[name])
+        assert c.is_pure()
+        assert not reference_z2_sphere(c)
+        assert not ss.is_z2_homology_sphere(c)
+
+    @pytest.mark.parametrize("name", SMALL_SPHERES)
+    def test_fixed_spheres(self, name):
+        c = SMALL_SPHERES[name]
+        assert reference_z2_sphere(c)
+        assert ss.is_z2_homology_sphere(c)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(pure_complexes())
+    def test_matches_link_by_link_reference(self, c):
+        assert ss.is_z2_homology_sphere(c) == reference_z2_sphere(c)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(facet_lists)
+    def test_betti_matches_full_boundary_ranks(self, facets):
+        c = ss.from_facets(facets)
+        assert z2_reduced_betti(c) == reference_betti(c)
 
 
 class TestIsomorphism:

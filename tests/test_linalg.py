@@ -10,6 +10,7 @@ from hypothesis import strategies as hs
 from spherestress import linalg
 from spherestress.linalg import (
     SparseRREF,
+    gf2_pivots,
     gf2_rank,
     kernel_basis,
     modp_kernel,
@@ -192,6 +193,12 @@ class TestGF2:
         assert gf2_rank([0b011, 0b110, 0b101]) == 2  # third row is the sum
         assert gf2_rank([0b1, 0b10, 0b100]) == 3
         assert gf2_rank([0, 0]) == 0
+
+    def test_pivots_are_leading_bits(self):
+        # 0b101 reduces to zero through 0b110 and then 0b011
+        assert gf2_pivots([0b011, 0b110, 0b101]) == 0b110
+        assert gf2_pivots([0b1000, 0b1001]) == 0b1001
+        assert gf2_pivots([]) == 0
 
 
 def plain_kernel(rows, columns):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from spherestress import catalog as cat
+from spherestress import linalg
 from spherestress import stress as st
 from spherestress import verify as ver
 
@@ -15,11 +16,9 @@ SEED = 17
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Shrink the residual catalog to the octahedron and K-2-4, and count
-    the ``stress.stress_numbers`` calls on its spheres, keyed by (sphere
-    name, embedding seed).  Calls on other complexes (the K-2-4 that the
-    level check builds itself) are not counted."""
+def made(monkeypatch):
+    """Shrink the residual catalog to the octahedron and K-2-4, and map
+    the id of each complex it builds to the sphere's name."""
     made = {}  # id of a catalog complex -> (complex, sphere name)
 
     def residual_catalog():
@@ -28,6 +27,16 @@ def calls(monkeypatch):
             made[id(s.complex)] = (s.complex, s.name)  # kept alive: ids stay unique
         return spheres
 
+    monkeypatch.setattr(cat, "residual_catalog", residual_catalog)
+    return made
+
+
+@pytest.fixture
+def calls(made, monkeypatch):
+    """Count the ``stress.stress_numbers`` calls on the shrunken residual
+    catalog's spheres, keyed by (sphere name, embedding seed).  Calls on
+    other complexes (the K-2-4 that the level check builds itself) are
+    not counted."""
     counter = Counter()
     real = st.stress_numbers
 
@@ -36,7 +45,6 @@ def calls(monkeypatch):
             counter[(made[id(c)][1], e.seed)] += 1
         return real(c, e)
 
-    monkeypatch.setattr(cat, "residual_catalog", residual_catalog)
     monkeypatch.setattr(st, "stress_numbers", stress_numbers)
     return counter
 
@@ -50,18 +58,18 @@ def socle_rows(report):
 
 def test_one_space_per_sphere_and_degree(calls, monkeypatch):
     dim_seeds = []
-    real = st.stress_dim
+    real = st.stress_dims
 
-    def stress_dim(c, e, k):
+    def stress_dims(c, e, degrees):
         dim_seeds.append(e.seed)
-        return real(c, e, k)
+        return real(c, e, degrees)
 
-    monkeypatch.setattr(st, "stress_dim", stress_dim)
+    monkeypatch.setattr(st, "stress_dims", stress_dims)
     report = ver.run_families(["stress", "socle"], SEED)
     assert report.ok
     assert calls == ONCE_EACH
     # the first seed's dims come from the shared numbers; only the second
-    # seed and the natural embeddings are ranked by stress_dim
+    # seed and the natural embeddings are ranked by stress_dims
     assert SEED not in dim_seeds
     assert SEED + st.SECOND_SEED_OFFSET in dim_seeds
 
@@ -88,3 +96,30 @@ def test_stress_alone_ranks_only(calls):
     report = ver.run_families(["stress"], SEED)
     assert report.ok
     assert calls == Counter()
+
+
+def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
+    # rows_stress ranks all degrees of an embedding in one stress_dims
+    # call, so the l.s.o.p. check ranks each facet minor once per seed
+    minors = Counter()
+    checking = []  # (sphere name, seed) of the running l.s.o.p. check, or None
+    real_h, real_rank = st._cohen_macaulay_h, linalg.modp_rank
+
+    def cohen_macaulay_h(c, e):
+        checking.append((made[id(c)][1], e.seed) if id(c) in made else None)
+        try:
+            return real_h(c, e)
+        finally:
+            checking.pop()
+
+    def modp_rank(rows, rr=None):
+        if checking and checking[-1]:
+            minors[checking[-1]] += 1
+        return real_rank(rows, rr)
+
+    monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
+    monkeypatch.setattr(linalg, "modp_rank", modp_rank)
+    assert all(r.holds for r in ver.rows_stress(SEED))
+    facets = {name: len(cat.build(name).complex.facets) for name in ("octahedron", "K-2-4")}
+    assert minors == Counter({(name, seed): n for name, n in facets.items()
+                              for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)})
