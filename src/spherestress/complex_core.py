@@ -375,9 +375,10 @@ def _z2_betti(boundary: list[int], starts: list[int], low: int, cells: int) -> l
     ``z2_reduced_betti`` and every face link of the homology sphere test
     go through here.  The boundary ranks come from ``gf2_pivots``, from
     the top level down, with clearing (Chen-Kerber 2011): a pivot i
-    found on level l + 1 is a boundary equal to face i plus faces of
-    lower id, so the boundary of face i is a sum of boundaries of lower
-    ids and its row adds no rank on level l; it is skipped.
+    found on level l + 1 marks a sum of boundaries that is face i plus
+    faces of lower id.  Its own boundary is 0, so the boundary of face
+    i is a sum of boundaries of lower ids, its row adds no rank on
+    level l, and it is skipped there.
     """
     top = len(starts) - 2
     counts, ranks = {}, {low: 0, top + 1: 0}

@@ -287,7 +287,7 @@ def octahedra_at_a_vertex():
     return octa + [[v if v == 1 else v + 10 for v in f] for f in octa]
 
 
-# Pure complexes that are not GF(2) homology spheres, each with one defect.
+# Pure complexes that are not GF(2) homology spheres.
 NOT_SPHERES = {
     "rp2": RP2,
     "torus": TORUS,
