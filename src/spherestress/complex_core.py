@@ -6,9 +6,15 @@ dimension, the set of all faces (so ``is_face`` is one hash lookup), the
 missing faces and the GF(2) homology sphere verdict are each memoized
 per complex.  Every operation returns a new value, nothing is mutated.
 
+Faces are enumerated once per complex, one frozenset per distinct face:
+each size's vertex tuples from all facets are gathered into one set
+before any frozenset is made.
+
 The homology sphere test builds no link complex.  It numbers the faces
 once, reads each face's link from the face's cofaces in that numbering,
-and settles facets and ridges by counting.
+and settles facets and ridges by counting.  Likewise the vertex-link
+f-vectors of the link sum rules (``enumeration``) are counted from the
+parent's faces.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -23,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .linalg import gf2_pivots
 
@@ -43,16 +49,20 @@ class SimplicialComplex:
 
     @cached_property
     def faces_by_dim(self) -> dict[int, frozenset[frozenset[int]]]:
-        """All faces grouped by dimension, including the empty face at -1."""
-        seen: set[frozenset[int]] = set()
-        for f in self.facets:
-            fl = sorted(f)
-            for k in range(len(fl) + 1):
-                seen.update(frozenset(c) for c in combinations(fl, k))
-        out: dict[int, set] = {}
-        for s in seen:
-            out.setdefault(len(s) - 1, set()).add(s)
-        return {d: frozenset(fs) for d, fs in sorted(out.items())}
+        """All faces grouped by dimension, including the empty face at -1.
+
+        The sorted vertex tuples of each size are gathered into one set
+        first, so a face that several facets share becomes a frozenset
+        once.
+        """
+        facets = [sorted(f) for f in self.facets]
+        out = {}
+        for k in range(self.dim + 2):
+            level: set[tuple[int, ...]] = set()
+            for f in facets:
+                level.update(combinations(f, k))
+            out[k - 1] = frozenset(map(frozenset, level))
+        return out
 
     def faces(self, k: int) -> frozenset[frozenset[int]]:
         """The k-dimensional faces (k = -1 gives {∅})."""
@@ -133,11 +143,11 @@ EMPTY = SimplicialComplex(vertices=(), facets=frozenset({frozenset()}), dim=-1)
 
 
 def _maximalize(sets: list[frozenset[int]]) -> frozenset[frozenset[int]]:
-    uniq = sorted(set(sets), key=len, reverse=True)
+    """The inclusion-maximal members of ``sets``.  A set is compared only
+    with the kept sets of larger size, so pure input makes no comparison."""
     kept: list[frozenset[int]] = []
-    for s in uniq:
-        if not any(s < k for k in kept):
-            kept.append(s)
+    for _, same_size in groupby(sorted(set(sets), key=len, reverse=True), key=len):
+        kept += [s for s in same_size if not any(s < k for k in kept)]
     return frozenset(kept)
 
 

@@ -14,11 +14,13 @@ Conventions, for a complex of dimension d-1:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
-from .complex_core import SimplicialComplex, link, max_missing_dim
+from .complex_core import SimplicialComplex, max_missing_dim
 
 
 def f_vector(c: SimplicialComplex) -> list[int]:
@@ -114,19 +116,29 @@ def g2_linear(f0: int, f1: int, d: int) -> int:
     return f1 - d * f0 + comb(d + 1, 2)
 
 
+def vertex_link_f_vectors(c: SimplicialComplex) -> dict[int, list[int]]:
+    """f(lk v) for every vertex v of a pure complex, with no link built:
+    f_{k-1}(lk v) is the number of k-faces of c that contain v.  Every
+    vertex link of a pure (d-1)-complex has dimension d-2, so each vector
+    has length d."""
+    if not c.is_pure():
+        raise ValueError("vertex-link sum rule needs a pure complex")
+    counts = [Counter(chain.from_iterable(c.faces(k))) for k in range(c.dim + 1)]
+    return {v: [n[v] for n in counts] for v in c.vertices}
+
+
 def mcmullen_residual(c: SimplicialComplex, k: int) -> int:
     """Defect of the vertex-link sum rule for g-numbers,
 
         sum_v g_k(lk v) - (k+1) g_{k+1} - (d+1-k) g_k,
 
     which vanishes on every pure complex of dimension d-1 for
-    0 <= k <= floor((d-1)/2)."""
-    if not c.is_pure():
-        raise ValueError("vertex-link sum rule needs a pure complex")
+    0 <= k <= floor((d-1)/2); a non-pure complex raises ValueError."""
+    links = vertex_link_f_vectors(c)
     d = c.dim + 1
     if not 0 <= k <= (d - 1) // 2:
         raise ValueError(f"k must lie in 0..{(d - 1) // 2}")
-    total = sum(g_vector(link(c, {v}))[k] for v in c.vertices)
+    total = sum(g_from_h(h_from_f(f, d - 1))[k] for f in links.values())
     g = g_vector(c)
     return total - (k + 1) * g[k + 1] - (d + 1 - k) * g[k]
 
@@ -136,11 +148,13 @@ def gamma_mcmullen_residual(c: SimplicialComplex, i: int) -> int:
 
         sum_v gamma_i(lk v) - (i+1) gamma_{i+1} - (2d-4i) gamma_i,
 
-    zero on spheres for 0 <= i <= floor((d-1)/2)."""
+    zero on spheres for 0 <= i <= floor((d-1)/2); a non-pure complex
+    raises ValueError."""
+    links = vertex_link_f_vectors(c)
     d = c.dim + 1
     if not 0 <= i <= (d - 1) // 2:
         raise ValueError(f"i must lie in 0..{(d - 1) // 2}")
-    total = sum(gamma_vector(link(c, {v}))[i] for v in c.vertices)
+    total = sum(gamma_from_h(h_from_f(f, d - 1), d - 1)[i] for f in links.values())
     gam = gamma_vector(c)
     gam_next = gam[i + 1] if i + 1 < len(gam) else 0
     return total - (i + 1) * gam_next - (2 * d - 4 * i) * gam[i]

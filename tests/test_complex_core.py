@@ -3,12 +3,13 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import spherestress as ss
 from spherestress import complex_core as cc
-from spherestress.complex_core import EMPTY, _make, z2_reduced_betti
+from spherestress.complex_core import EMPTY, _make, _maximalize, z2_reduced_betti
+from spherestress.enumeration import vertex_link_f_vectors
 from spherestress.linalg import gf2_rank
 
 
@@ -35,6 +36,19 @@ def brute_missing_faces(c):
                     scan_is_face(c, t) for t in combinations(s, k - 1)):
                 out.append(list(s))
     return out
+
+
+def reference_faces_by_dim(c):
+    """Every subset of every facet as a frozenset, grouped by dimension."""
+    seen = set()
+    for f in c.facets:
+        fl = sorted(f)
+        for k in range(len(fl) + 1):
+            seen.update(frozenset(t) for t in combinations(fl, k))
+    out = {}
+    for s in seen:
+        out.setdefault(len(s) - 1, set()).add(s)
+    return {d: frozenset(fs) for d, fs in sorted(out.items())}
 
 
 class TestConstruction:
@@ -402,6 +416,27 @@ class TestHomology:
     def test_betti_matches_full_boundary_ranks(self, facets):
         c = ss.from_facets(facets)
         assert z2_reduced_betti(c) == reference_betti(c)
+
+
+class TestFaceEnumeration:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(facet_lists.map(ss.from_facets))
+    @example(EMPTY)
+    def test_faces_match_per_facet_reference(self, c):
+        got = c.faces_by_dim
+        assert got == reference_faces_by_dim(c)
+        assert list(got) == list(range(-1, c.dim + 1))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(pure_complexes())
+    def test_vertex_link_f_vectors_match_built_links(self, c):
+        assert vertex_link_f_vectors(c) == {
+            v: ss.f_vector(ss.link(c, {v})) for v in c.vertices}
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hs.lists(hs.frozensets(hs.integers(1, 6), max_size=5), max_size=12))
+    def test_maximalize_matches_definition(self, sets):
+        assert _maximalize(sets) == {s for s in sets if not any(s < t for t in sets)}
 
 
 class TestIsomorphism:

@@ -1,10 +1,13 @@
 """Tests for exact f/h/g/gamma computation and the link sum rules."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 import spherestress as ss
+from spherestress import complex_core as cc
+from spherestress import enumeration as en
 
 
 def poly_mul(p, q):
@@ -184,6 +187,29 @@ class TestLinkSumRules:
         c = ss.from_facets([[1, 2, 3], [3, 4]])
         with pytest.raises(ValueError):
             ss.mcmullen_residual(c, 0)
+
+    def test_gamma_non_pure_rejected(self):
+        c = ss.from_facets([[1, 2, 3], [3, 4]])
+        with pytest.raises(ValueError, match="vertex-link sum rule needs a pure complex"):
+            ss.gamma_mcmullen_residual(c, 0)
+
+    def test_no_link_built_and_faces_enumerated_once(self, monkeypatch):
+        facets = sorted(sorted(f) for f in ss.build("K-2-4").complex.facets)
+        real_link, calls = cc.link, []
+        for mod in (cc, en):  # a module that imports link by name calls its own reference
+            if getattr(mod, "link", None) is real_link:
+                monkeypatch.setattr(mod, "link", lambda *a: calls.append(a) or real_link(*a))
+        real_faces, enumerated = cc.SimplicialComplex.__dict__["faces_by_dim"].func, []
+        counting = cached_property(lambda c: enumerated.append(c) or real_faces(c))
+        counting.__set_name__(cc.SimplicialComplex, "faces_by_dim")
+        monkeypatch.setattr(cc.SimplicialComplex, "faces_by_dim", counting)
+        c = ss.from_facets(facets)
+        d = c.dim + 1
+        for k in range((d - 1) // 2 + 1):
+            assert ss.mcmullen_residual(c, k) == 0
+            assert ss.gamma_mcmullen_residual(c, k) == 0
+        assert calls == []
+        assert len(enumerated) == 1 and enumerated[0] is c
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
