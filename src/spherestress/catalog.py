@@ -126,13 +126,12 @@ class LevelCounterexampleReport:
         return base and bool(self.socle_nonzero_below_top)
 
 
-def verify_counterexample_level(u: int, k: int, seed: int = 7,
-                                socle_limit: int = 4) -> LevelCounterexampleReport:
+def verify_counterexample_level(u: int, k: int, seed: int = 7) -> LevelCounterexampleReport:
     """Reproduce the failure of levelness for the g-vector of K(u-k, 2u-1).
 
     The computed g-vector must match the piecewise formula band by band,
     end in g_u = 1, and fail the level necessary conditions (it is
-    asymmetric: g_1 = 2 while g_{u-1} = 3).  For u <= socle_limit the
+    asymmetric: g_1 = 2 while g_{u-1} = 3).  For u <= 4 the
     stress-space socle is computed under a generic embedding and must be
     nonzero in some degree below u.
     """
@@ -146,7 +145,7 @@ def verify_counterexample_level(u: int, k: int, seed: int = 7,
     verdict = level_necessary_conditions(list(g))
     socle = None
     nonzero_below = None
-    if u <= socle_limit:
+    if u <= 4:
         emb = st.generic_embedding(sphere.complex, seed)
         socle = tuple(st.socle_dims(sphere.complex, emb))
         nonzero_below = any(socle[i] != 0 for i in range(min(u, len(socle))))
@@ -160,6 +159,13 @@ def verify_counterexample_level(u: int, k: int, seed: int = 7,
 # Counterexample 2: a face participating in no top-degree stress
 # ---------------------------------------------------------------------------
 
+def _polytope_groups(u: int) -> tuple[list[int], list[int], list[int]]:
+    """The vertex groups of polytope-m, u = 2m+1, labelled 1..2u+3 in
+    order: the vertices of the two 2m-simplices and of the triangle."""
+    return (list(range(1, u + 1)), list(range(u + 1, 2 * u + 1)),
+            [2 * u + 1, 2 * u + 2, 2 * u + 3])
+
+
 def build_counterexample_polytope(m: int) -> NamedSphere:
     """Boundary of the free sum of two 2m-simplices and a triangle.
 
@@ -171,9 +177,7 @@ def build_counterexample_polytope(m: int) -> NamedSphere:
         raise ValueError("need m >= 1")
     u = 2 * m + 1
     amb = 2 * u
-    group1 = list(range(1, u + 1))
-    group2 = list(range(u + 1, 2 * u + 1))
-    group3 = [2 * u + 1, 2 * u + 2, 2 * u + 3]
+    group1, group2, group3 = _polytope_groups(u)
 
     def unit(j: int) -> list[Fraction]:
         e = [Fraction(0)] * amb
@@ -255,9 +259,7 @@ def support_stress_polynomial(m: int):
     for _ in range(u - 2):
         f_y = mul(f_y, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1)})
 
-    group1 = list(range(1, u + 1))
-    group2 = list(range(u + 1, 2 * u + 1))
-    group3 = [2 * u + 1, 2 * u + 2, 2 * u + 3]
+    group1, group2, group3 = _polytope_groups(u)
     terms: dict[tuple[int, ...], Fraction] = {}
     for (a, b, c), coef in f_y.items():
         for m1, c1 in _group_power(group1, a).items():
@@ -327,9 +329,7 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
 
     mixed = f_y.get((m, m, 1), Fraction(0))
 
-    group1 = list(range(1, u + 1))
-    group2 = list(range(u + 1, 2 * u + 1))
-    group3 = [2 * u + 1, 2 * u + 2, 2 * u + 3]
+    group1, group2, group3 = _polytope_groups(u)
     candidates = [frozenset(fs) | frozenset(gs) | {v}
                   for fs in combinations(group1, m)
                   for gs in combinations(group2, m)

@@ -321,9 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact face enumeration and affine stress spaces of simplicial spheres")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, target=True):
-        if target:
-            sp.add_argument("target", help="catalog name, JSON file, or - for stdin")
+    def add_common(sp):
+        sp.add_argument("target", help="catalog name, JSON file, or - for stdin")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--seed", type=int, default=17, help="seed for generic embeddings")
 

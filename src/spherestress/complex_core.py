@@ -183,10 +183,6 @@ def from_facets(facets) -> SimplicialComplex:
     return _make(sets)
 
 
-def point(label: int) -> SimplicialComplex:
-    return _make([{label}])
-
-
 def boundary_simplex(d: int) -> SimplicialComplex:
     """Boundary complex of a d-simplex on labels 1..d+1 (a (d-1)-sphere)."""
     if d <= 0:

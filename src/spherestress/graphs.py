@@ -15,6 +15,8 @@ from itertools import combinations
 from .complex_core import SimplicialComplex, is_flag, max_missing_dim
 from .enumeration import f_vector, g_vector
 
+VERTEX_CAP = 64  # the default vertex cap of independence_number
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -38,7 +40,7 @@ class VertexCapExceeded(ValueError):
     turan_bound for a guaranteed lower bound instead."""
 
 
-def independence_number(g: Graph, cap: int = 64) -> tuple[int, frozenset[int]]:
+def independence_number(g: Graph, cap: int = VERTEX_CAP) -> tuple[int, frozenset[int]]:
     """Exact maximum independent set via branch and bound.
 
     Returns (alpha, witness).  The bound at each node is a greedy clique
@@ -111,7 +113,7 @@ class InequalityCheck:
     note: str = ""
 
 
-def verify_alpha_inequalities(c: SimplicialComplex, cap: int = 64) -> list[InequalityCheck]:
+def verify_alpha_inequalities(c: SimplicialComplex) -> list[InequalityCheck]:
     """Evaluate the g vs alpha lower bounds applicable to this complex.
 
     Statements, with their hypothesis gates (d = dim + 1, and j* is the
@@ -123,7 +125,7 @@ def verify_alpha_inequalities(c: SimplicialComplex, cap: int = 64) -> list[Inequ
                          j* <= min(floor((d-1)/2) - 1, d - 2i)
     """
     d = c.dim + 1
-    alpha, _ = independence_number(graph_of(c), cap=cap)
+    alpha, _ = independence_number(graph_of(c))
     g = g_vector(c)
     jstar = max_missing_dim(c)
     flag = is_flag(c)
@@ -172,7 +174,7 @@ class RatioSweepRow:
     alpha_aux: int | None
 
 
-def gk_ratio_sweep(c: SimplicialComplex, cap: int = 64) -> list[RatioSweepRow]:
+def gk_ratio_sweep(c: SimplicialComplex) -> list[RatioSweepRow]:
     """Diagnostic only: the ratio g_{k+1} / f_{k-1}^((2k+2)/(3k+1)).
 
     The underlying inequality involves a nonconstructive constant, so
@@ -194,13 +196,13 @@ def gk_ratio_sweep(c: SimplicialComplex, cap: int = 64) -> list[RatioSweepRow]:
         ratio = g[k + 1] / (f[k] ** float(exponent))  # f[k] = f_{k-1}
         alpha_aux = None
         faces_km1 = sorted(c.faces(k - 1), key=sorted)
-        if len(faces_km1) <= cap:
+        if len(faces_km1) <= VERTEX_CAP:
             labels = {fc: i for i, fc in enumerate(faces_km1)}
             edges = set()
             for s, t in combinations(faces_km1, 2):
                 if c.is_face(s | t):
                     edges.add(frozenset({labels[s], labels[t]}))
             aux = Graph(tuple(range(len(faces_km1))), frozenset(edges))
-            alpha_aux, _ = independence_number(aux, cap=cap)
+            alpha_aux, _ = independence_number(aux)
         rows.append(RatioSweepRow(k, g[k + 1], f[k], exponent, ratio, alpha_aux))
     return rows

@@ -9,19 +9,19 @@ bases, span membership (an empty ``SparseRREF.reduce`` residual) and
 the mod-p rank certificates below all go through it.  GF(2) has its
 own bit-mask loop, ``gf2_pivots``; ``gf2_rank`` counts its pivots.
 
-Rank certificates mod p.  ``modp_rank`` maps each rational entry a/b to
+Certificates mod p.  ``modp_rank`` maps each rational entry a/b to
 a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p); it is the
 one rational-to-GF(p) conversion, and ``modp_kernel`` goes through it.
 When no denominator vanishes mod p, every row can be scaled by a unit to
 an integer row, and a nonzero minor mod p is a nonzero integer minor, so
-rank_p <= rank_Q and the kernel mod p is at least as large as the
-kernel over Q.  ``kernel_basis`` uses this to return the zero kernel
-without elimination over Q when rank_p equals the column count; the
-stress module pairs it with a lower bound from theory to settle nonzero
-kernels.  In every other case (a denominator divisible by p, or a rank
-mod p short of what would settle the answer) the answer comes from
-elimination over Q.  Over Q and GF(p) alike, ``SparseRREF.kernel`` reads
-the canonical kernel basis off the free columns.
+rank_p <= rank_Q and the kernel mod p is at least as long as the kernel
+over Q.  This module computes both and accepts neither.  The
+stress module (``stress._stresses``) pairs the length of a kernel mod p
+with a lower bound from theory, 0 or g_k, and keeps it when the two
+meet; in every other case (a denominator divisible by p, or a kernel
+mod p longer than the bound) the answer comes from ``kernel_basis``, a
+plain elimination over Q.  Over Q and GF(p) alike, ``SparseRREF.kernel``
+reads the canonical kernel basis off the free columns.
 """
 
 from __future__ import annotations
@@ -199,12 +199,8 @@ def kernel_basis(rows, columns) -> list[dict]:
     the rows use.  The result is the canonical kernel basis, reduced
     echelon with each vector's pivot at its smallest column and listed
     by pivot column, so it is independent of row order (see
-    ``SparseRREF.kernel``).  A rank mod p equal to the column count
-    certifies the zero kernel, with no elimination over Q.
+    ``SparseRREF.kernel``).
     """
-    rows = list(rows)
-    if modp_rank(rows) == len(columns):
-        return []
     rr = SparseRREF()
     for r in rows:
         rr.insert(r)

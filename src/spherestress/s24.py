@@ -182,13 +182,13 @@ def violates_condition_two(gammas) -> list[frozenset[int]]:
     return [w for w, sizes in gammas if sizes and min(sizes) >= 2]
 
 
-def reduction_report(c: SimplicialComplex, apply_contractions: bool = True) -> ReductionReport:
+def reduction_report(c: SimplicialComplex) -> ReductionReport:
     """Contract admissible edges greedily (smallest edge first) until
     none remain, then report both reduced-ness conditions."""
     _require_s24(c)
     trace: list[tuple[str, tuple[int, int]]] = []
     current = c
-    while apply_contractions:
+    while True:
         edges = admissible_contractions(current)
         if not edges:
             break
@@ -201,11 +201,10 @@ def reduction_report(c: SimplicialComplex, apply_contractions: bool = True) -> R
     return ReductionReport(tuple(edges), tuple(gammas), reduced, tuple(trace), current)
 
 
-def verify_theorem_main_s24(c: SimplicialComplex,
-                            validate_sphere: bool = True) -> tuple[int, Fraction, bool]:
+def verify_theorem_main_s24(c: SimplicialComplex) -> tuple[int, Fraction, bool]:
     """Exact check of g_2 >= (2/5) f_0 - 6/5; returns (g_2, bound, holds)."""
     _require_s24(c)
-    if validate_sphere and not cc.is_z2_homology_sphere(c):
+    if not cc.is_z2_homology_sphere(c):
         raise ValueError("input is not a homology 4-sphere over GF(2)")
     g2 = g_vector(c)[2]
     bound = Fraction(2, 5) * len(c.vertices) - Fraction(6, 5)

@@ -11,24 +11,28 @@ end to end, and the cone-lift check is a span-membership test (an
 empty ``SparseRREF.reduce`` residual), not a linear solve.
 
 Dimensions and socles need no basis over Q when a certificate settles
-them.  A rank mod p is at most the rank over Q, so the column count
-minus the rank mod p of the operator matrix is an upper bound on the
-stress dimension.  On a GF(2)-homology sphere (by universal coefficients
-a Q-homology sphere, and so are its links) whose embedding passes the
+them, and one function, ``_stresses``, decides it for each degree.  A
+rank mod p is at most the rank over Q, so the kernel mod p of the
+operator matrix is at least as long as the kernel over Q: its length is
+an upper bound on the stress dimension.  The lower bound is 0 for any
+embedding.  On a GF(2)-homology sphere (by universal coefficients a
+Q-homology sphere, and so are its links) whose embedding passes the
 Kind-Kleinschmidt (1979) l.s.o.p. test (every facet's coordinate minor
 nonzero mod p), the face ring is Cohen-Macaulay (Reisner 1976), the
 Artinian reduction has dim A_k = h_k (Stanley 1996), and the degree-k
 affine stresses, dual to A_k / omega A_{k-1} (Lee 1996), have dimension
 at least g_k = h_k - h_{k-1}.  When the two bounds meet, that is the
-dimension over Q, so a ``stress-dim-equals-g`` PASS rests on these
-theorems plus a rank mod p, not on a kernel over Q.  The same kernel mod
-p then bounds the rank of the derivative spans from below, which
-settles a zero socle (see ``stress_numbers``).  Anything else (a
-non-sphere, a singular facet minor, a denominator divisible by p, a
-short rank mod p, a nonzero socle under a nonzero space) is computed by
-exact elimination over Q.  The exported bases (``stress_space``,
+dimension over Q and the kernel mod p is kept, so a
+``stress-dim-equals-g`` PASS rests on these theorems plus a kernel mod
+p, not on a kernel over Q.  A kept kernel mod p then bounds the rank of
+the derivative spans from below, which settles a zero socle (see
+``stress_numbers``).  Anything else (a non-sphere, a singular facet
+minor, a denominator divisible by p, a kernel mod p longer than the
+bound, a nonzero socle under a nonzero space) is computed by exact
+elimination over Q.  The exported bases (``stress_space``,
 ``cone_lift_check``, the support counterexample) are always exact
-kernels over Q.
+kernels over Q: with no lower bound, a kernel mod p is kept only when
+it is empty.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -83,14 +87,13 @@ class Embedding:
                 raise ValueError(f"vertex {v} has {len(cs)} coordinates, expected {self.d}")
 
 
-def generic_embedding(c: SimplicialComplex, seed: int, d: int | None = None) -> Embedding:
-    """Seeded pseudo-generic embedding into d-space (default d = dim + 1).
+def generic_embedding(c: SimplicialComplex, seed: int) -> Embedding:
+    """Seeded pseudo-generic embedding into d-space, d = dim + 1.
 
     Coordinates are rationals with numerators drawn uniformly from a
     large symmetric range and small random denominators.
     """
-    if d is None:
-        d = c.dim + 1
+    d = c.dim + 1
     rng = random.Random(seed)
     coords = {}
     for v in c.vertices:
@@ -255,8 +258,7 @@ class StressBasis:
         return len(self.polys)
 
 
-def stress_space(c: SimplicialComplex, e: Embedding, k: int,
-                 monomials: list[Monomial] | None = None) -> StressBasis:
+def stress_space(c: SimplicialComplex, e: Embedding, k: int) -> StressBasis:
     """Exact kernel basis of the stacked operator matrix in degree k.
 
     Columns are the face-supported degree-k monomials in graded-lex
@@ -265,12 +267,9 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int,
     """
     if k < 1:
         raise ValueError("stress spaces are computed for degree k >= 1")
-    cols = face_monomials(c, k) if monomials is None else monomials
-    kernel = linalg.kernel_basis(_operator_rows(e, cols), range(len(cols)))
-    polys = tuple(
-        StressPolynomial(k, {cols[ci]: val for ci, val in sorted(vec.items())})
-        for vec in kernel)
-    return StressBasis(c, e, k, polys)
+    # with no lower bound only an empty kernel mod p is kept, and it is exact
+    terms, _ = _stresses(c, e, k, None)
+    return StressBasis(c, e, k, tuple(StressPolynomial(k, t) for t in terms))
 
 
 def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, Fraction]]:
@@ -322,31 +321,33 @@ def _dim_lower_bound(h: list[int] | None, k: int) -> int:
     return max(hk - below, 0)
 
 
-def stress_dims(c: SimplicialComplex, e: Embedding, degrees) -> list[int]:
-    """Dimension of the degree-k stress space for each k in ``degrees``;
-    no basis is built.
+def _stresses(c: SimplicialComplex, e: Embedding, k: int,
+              h: list[int] | None) -> tuple[list[dict], bool]:
+    """The degree-k stresses of ``e`` as term dicts in graded-lex order,
+    and whether they are a kernel over Q rather than mod p.
 
-    The column count minus the rank mod p of the operator matrix is an
-    upper bound (rank_p <= rank_Q).  When it is 0, or meets the lower
-    bound max(g_k, 0) that ``_cohen_macaulay_h`` proves, it is the
-    dimension; otherwise the rank is computed over Q.  The lower bound
-    is checked once per call, for all degrees."""
+    The operator rows are built once and their kernel mod p taken; it is
+    at least as long as the kernel over Q.  When its length meets the
+    proven lower bound ``_dim_lower_bound(h, k)``, it is kept: its length
+    is the dimension, and an empty one is also the kernel over Q.
+    Otherwise the exact kernel over Q is returned.  This is the one
+    place a kernel mod p is accepted."""
+    cols = face_monomials(c, k)
+    rows = _operator_rows(e, cols)
+    kernel = linalg.modp_kernel(rows, range(len(cols)))
+    over_q = kernel is None or len(kernel) != _dim_lower_bound(h, k)
+    if over_q:
+        kernel = linalg.kernel_basis(rows, range(len(cols)))
+    return [{cols[ci]: x for ci, x in sorted(vec.items())} for vec in kernel], over_q
+
+
+def stress_dims(c: SimplicialComplex, e: Embedding, degrees) -> list[int]:
+    """Dimension of the degree-k stress space for each k in ``degrees``,
+    certified mod p where ``_stresses`` can.  The lower bound of
+    ``_cohen_macaulay_h`` is checked once per call, for all degrees."""
     h = _cohen_macaulay_h(c, e)
-    dims = []
-    for k in degrees:
-        if k == 0:
-            dims.append(1)  # the constants, so derivative chains terminate cleanly
-            continue
-        cols = face_monomials(c, k)
-        rows = _operator_rows(e, cols)
-        r = linalg.modp_rank(rows)
-        if r is not None:
-            upper = len(cols) - r
-            if upper == 0 or upper == _dim_lower_bound(h, k):
-                dims.append(upper)
-                continue
-        dims.append(len(cols) - linalg.rank_of(rows))
-    return dims
+    # degree 0 holds the constants, so derivative chains terminate cleanly
+    return [len(_stresses(c, e, k, h)[0]) if k else 1 for k in degrees]
 
 
 def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
@@ -408,38 +409,28 @@ def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[
 
     The socle in degree k is the degree-k dimension minus the rank of
     the derivatives of the degree-(k+1) stresses (the socle of the
-    Artinian reduction, computed dually).  Where ``_cohen_macaulay_h``
-    applies, a degree whose kernel mod p is as small as the lower bound
-    has that dimension, and its kernel mod p is the reduction of the
-    p-integral stresses over Q, so the rank mod p of its derivatives is
-    at most their rank over Q: reaching the degree-k dimension proves
-    the degree-k socle 0.  Under a zero degree-(k+1) space the socle is
-    the whole degree-k space.  Every other degree, and every other
-    socle, is computed over Q.
+    Artinian reduction, computed dually).  Under a zero degree-(k+1)
+    space the socle is the whole degree-k space.  A degree-(k+1) kernel
+    that ``_stresses`` kept mod p is the reduction of the p-integral
+    stresses over Q, so the rank mod p of its derivatives is at most
+    their rank over Q: reaching the degree-k dimension proves the
+    degree-k socle 0.  Every other socle is computed over Q.
     """
     half = (c.dim + 1) // 2
     h = _cohen_macaulay_h(c, e)
-    dims, modp, exact = [1], {}, {}
-    for k in range(1, half + 2):
-        cols = face_monomials(c, k)
-        kernel = None
-        if h is not None:
-            kernel = linalg.modp_kernel(_operator_rows(e, cols), range(len(cols)))
-        if kernel is not None and len(kernel) == _dim_lower_bound(h, k):
-            modp[k] = [{cols[ci]: x for ci, x in vec.items()} for vec in kernel]
-            dims.append(len(kernel))
-        else:
-            exact[k] = stress_space(c, e, k, monomials=cols)
-            dims.append(exact[k].dim)
+    spaces = {k: _stresses(c, e, k, h) for k in range(1, half + 2)}
+    dims = [1] + [len(spaces[k][0]) for k in range(1, half + 2)]
     socle = []
     for k in range(half + 1):
-        if not dims[k + 1]:
+        terms, over_q = spaces[k + 1]
+        if not terms:
             socle.append(dims[k])
-        elif k + 1 in modp and linalg.modp_rank(_derivatives(modp[k + 1])) == dims[k]:
+        elif not over_q and linalg.modp_rank(_derivatives(terms)) == dims[k]:
             socle.append(0)
         else:
-            above = exact[k + 1] if k + 1 in exact else stress_space(c, e, k + 1)
-            socle.append(dims[k] - derivative_span_dim(c, e, k, basis_above=above))
+            if not over_q:  # kept mod p, but its derivatives fall short
+                terms = [p.terms for p in stress_space(c, e, k + 1).polys]
+            socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
     return dims, socle
 
 
@@ -487,7 +478,7 @@ def star_stress_witness(c: SimplicialComplex, e: Embedding, tau, i: int):
     if i >= len(g_link) or g_link[i] < 1:
         raise ValueError(f"link has g_{i} = 0, no star-supported stress is promised")
     st = star(c, t)
-    basis = stress_space(st, e, i, monomials=face_monomials(st, i)).polys
+    basis = stress_space(st, e, i).polys
     if not basis:
         return None
     required = [frozenset(s) for size in range(1, i + 1)

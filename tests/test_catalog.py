@@ -122,7 +122,7 @@ class TestLevelCounterexample:
         assert ss.corollary_level_g_check(list(rep.g), 2).holds
 
     def test_socle_skipped_above_limit(self):
-        rep = ss.verify_counterexample_level(6, 2, socle_limit=4)
+        rep = ss.verify_counterexample_level(6, 2)
         assert rep.socle is None and rep.reproduced
 
     def test_gates(self):

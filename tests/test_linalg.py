@@ -236,7 +236,7 @@ class TestModpCertificates:
         p = linalg.PRIME
         assert modp_kernel(rows, range(ncols)) == [mod_p(v, p) for v in kernel]
 
-    def test_full_column_rank_mod_p_skips_elimination(self, monkeypatch):
+    def test_kernel_basis_eliminates_over_q_only(self, monkeypatch):
         moduli = []
 
         class Recording(SparseRREF):
@@ -248,7 +248,7 @@ class TestModpCertificates:
         rows = as_rows([[1, 2], [3, 4], [5, 6]])
         assert kernel_basis(rows, range(2)) == []
         assert modp_kernel(rows, range(2)) == []
-        assert moduli == [linalg.PRIME, linalg.PRIME]  # no elimination over Q
+        assert moduli == [None, linalg.PRIME]  # the mod-p check is the caller's
 
     def test_vanishing_denominator_has_no_certificate(self, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)

