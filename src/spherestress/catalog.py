@@ -8,7 +8,7 @@ with explicit integer coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -356,13 +356,13 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
 # The shipped catalog
 # ---------------------------------------------------------------------------
 
-def _octahedron() -> NamedSphere:
-    return NamedSphere(
-        "octahedron", cross_polytope(3),
-        natural_coords=st.natural_embedding(cross_polytope(3), cross_polytope_coords(3)),
-        expected=InvariantVectors(f=(1, 6, 12, 8), h=(1, 3, 3, 1), g=(1, 2, 0),
-                                  gamma=(1, 0), d=3),
-        description="boundary of the 3-dimensional cross-polytope")
+def _simplex(d: int) -> NamedSphere:
+    return NamedSphere(f"boundary-simplex-{d}", cc.boundary_simplex(d),
+                       description=f"boundary complex of a {d}-simplex")
+
+
+def _cycle(n: int) -> NamedSphere:
+    return NamedSphere(f"cycle-{n}", cc.cycle(n), description=f"{n}-cycle")
 
 
 def _cross(d: int) -> NamedSphere:
@@ -372,56 +372,56 @@ def _cross(d: int) -> NamedSphere:
         description=f"boundary of the {d}-dimensional cross-polytope")
 
 
-def _K24() -> NamedSphere:
-    s = build_K(2, 5)
-    return NamedSphere(
-        s.name, s.complex,
-        expected=InvariantVectors(f=(1, 8, 27, 48, 45, 18), h=(1, 3, 5, 5, 3, 1),
-                                  g=(1, 2, 2, 0), gamma=(1, -2, 1), d=5),
-        description=s.description)
+def _cyclejoin(n: int, m: int) -> NamedSphere:
+    return NamedSphere(f"cyclejoin-{n}-{m}", cyclejoin(n, m),
+                       description=f"suspension of the join of a {n}-cycle and a {m}-cycle")
 
 
-def _K25() -> NamedSphere:
-    s = build_K(2, 6)
-    return NamedSphere(
-        s.name, s.complex,
-        expected=InvariantVectors(f=(1, 9, 36, 81, 108, 81, 27),
-                                  h=(1, 3, 6, 7, 6, 3, 1),
-                                  g=(1, 2, 3, 1), gamma=(1, -3, 3, -1), d=6),
-        description=s.description)
+def build_family(family: str, args: list[int]) -> NamedSphere:
+    """CLI-facing constructor: family name plus integer parameters.  Every
+    catalog sphere is built through here as well."""
+    constructors = {"simplex": (_simplex, 1), "cycle": (_cycle, 1), "cross": (_cross, 1),
+                    "K": (build_K, 2), "cyclejoin": (_cyclejoin, 2),
+                    "polytope": (build_counterexample_polytope, 1)}
+    fn, arity = constructors.get(family, (None, None))
+    if fn is None or len(args) != arity:
+        raise ValueError(f"unknown family {family!r} with {len(args)} parameters")
+    return fn(*args)
 
 
 # The shipped suspended cycle joins, 3 <= n <= m <= 6, by catalog name.
 _CYCLEJOINS = {f"cyclejoin-{n}-{m}": (n, m) for n in range(3, 7) for m in range(n, 7)}
 
+# Catalog name -> (family, parameters) of ``build_family``, in listing order.
+_REGISTRY = {
+    **{f"boundary-simplex-{d}": ("simplex", [d]) for d in range(2, 9)},
+    **{f"cycle-{n}": ("cycle", [n]) for n in range(3, 9)},
+    "octahedron": ("cross", [3]),
+    **{f"cross-{d}": ("cross", [d]) for d in range(2, 8)},
+    "K-2-4": ("K", [2, 5]),
+    "K-2-5": ("K", [2, 6]),
+    "K-3-6": ("K", [3, 7]),
+    "K-3-7": ("K", [3, 8]),
+    **{name: ("cyclejoin", list(nm)) for name, nm in _CYCLEJOINS.items()},
+    **{f"polytope-{m}": ("polytope", [m]) for m in (1, 2)},
+}
 
-def _builders() -> dict:
-    reg: dict = {}
-    for d in range(2, 9):
-        reg[f"boundary-simplex-{d}"] = (
-            lambda d=d: NamedSphere(f"boundary-simplex-{d}", cc.boundary_simplex(d),
-                                    description=f"boundary complex of a {d}-simplex"))
-    for n in range(3, 9):
-        reg[f"cycle-{n}"] = (
-            lambda n=n: NamedSphere(f"cycle-{n}", cc.cycle(n), description=f"{n}-cycle"))
-    reg["octahedron"] = _octahedron
-    for d in range(2, 8):
-        reg[f"cross-{d}"] = (lambda d=d: _cross(d))
-    reg["K-2-4"] = _K24
-    reg["K-2-5"] = _K25
-    reg["K-3-6"] = lambda: build_K(3, 7)
-    reg["K-3-7"] = lambda: build_K(3, 8)
-    for name, (n, m) in _CYCLEJOINS.items():
-        reg[name] = (
-            lambda name=name, n=n, m=m: NamedSphere(
-                name, cyclejoin(n, m),
-                description=f"suspension of the join of a {n}-cycle and a {m}-cycle"))
-    for m in (1, 2):
-        reg[f"polytope-{m}"] = (lambda m=m: build_counterexample_polytope(m))
-    return reg
+# Invariants that ``build`` checks on a fresh sphere.
+_EXPECTED = {
+    "octahedron": InvariantVectors(f=(1, 6, 12, 8), h=(1, 3, 3, 1), g=(1, 2, 0),
+                                   gamma=(1, 0), d=3),
+    "K-2-4": InvariantVectors(f=(1, 8, 27, 48, 45, 18), h=(1, 3, 5, 5, 3, 1),
+                              g=(1, 2, 2, 0), gamma=(1, -2, 1), d=5),
+    "K-2-5": InvariantVectors(f=(1, 9, 36, 81, 108, 81, 27), h=(1, 3, 6, 7, 6, 3, 1),
+                              g=(1, 2, 3, 1), gamma=(1, -3, 3, -1), d=6),
+}
 
+# The spheres on which the vertex-link sum rules, stress dimensions and
+# socle identities are verified end to end.
+RESIDUAL = ("octahedron", "cross-4", "cross-5", "cross-6", "K-2-4", "K-2-5", *_CYCLEJOINS)
 
-_REGISTRY = _builders()
+# The shipped 4-spheres without missing faces of dimension > 2.
+S24 = ("K-2-4", "cross-5", *_CYCLEJOINS)
 
 
 def catalog_names() -> list[str]:
@@ -431,35 +431,5 @@ def catalog_names() -> list[str]:
 def build(name: str) -> NamedSphere:
     if name not in _REGISTRY:
         raise KeyError(f"unknown catalog name {name!r}")
-    return _REGISTRY[name]()
-
-
-def build_family(family: str, args: list[int]) -> NamedSphere:
-    """CLI-facing constructor: family name plus integer parameters."""
-    if family == "simplex" and len(args) == 1:
-        return NamedSphere(f"boundary-simplex-{args[0]}", cc.boundary_simplex(args[0]))
-    if family == "cycle" and len(args) == 1:
-        return NamedSphere(f"cycle-{args[0]}", cc.cycle(args[0]))
-    if family == "cross" and len(args) == 1:
-        return _cross(args[0])
-    if family == "K" and len(args) == 2:
-        return build_K(args[0], args[1])
-    if family == "cyclejoin" and len(args) == 2:
-        n, m = args
-        return NamedSphere(f"cyclejoin-{n}-{m}", cyclejoin(n, m))
-    if family == "polytope" and len(args) == 1:
-        return build_counterexample_polytope(args[0])
-    raise ValueError(f"unknown family {family!r} with {len(args)} parameters")
-
-
-def residual_catalog() -> list[NamedSphere]:
-    """The spheres on which the vertex-link sum rules, stress dimensions
-    and socle identities are verified end to end."""
-    names = ["octahedron", "cross-4", "cross-5", "cross-6", "K-2-4", "K-2-5", *_CYCLEJOINS]
-    return [build(n) for n in names]
-
-
-def s24_catalog() -> list[NamedSphere]:
-    """The shipped 4-spheres without missing faces of dimension > 2."""
-    names = ["K-2-4", "cross-5", *_CYCLEJOINS]
-    return [build(n) for n in names]
+    sphere = build_family(*_REGISTRY[name])
+    return replace(sphere, name=name, expected=_EXPECTED.get(name))

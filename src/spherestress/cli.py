@@ -38,23 +38,22 @@ class CliInputError(Exception):
 
 
 def _resolve_target(target: str) -> cat.NamedSphere:
-    if target == "-":
-        text = sys.stdin.read()
-        c, name, coords = cc.complex_from_json(text)
-        emb = st.natural_embedding(c, coords) if coords else None
-        return cat.NamedSphere(name or "stdin", c, natural_coords=emb)
     if target in cat.catalog_names():
         return cat.build(target)
-    if os.path.exists(target):
+    if target == "-":
+        source, default_name, text = "complex on stdin", "stdin", sys.stdin.read()
+    elif os.path.exists(target):
         with open(target, encoding="utf-8") as fh:
             text = fh.read()
-        try:
-            c, name, coords = cc.complex_from_json(text)
-        except ValueError as exc:
-            raise CliInputError(f"malformed facet file {target}: {exc}") from exc
+        source, default_name = f"facet file {target}", os.path.basename(target)
+    else:
+        raise CliInputError(f"unknown complex name or file: {target!r}")
+    try:
+        c, name, coords = cc.complex_from_json(text)
         emb = st.natural_embedding(c, coords) if coords else None
-        return cat.NamedSphere(name or os.path.basename(target), c, natural_coords=emb)
-    raise CliInputError(f"unknown complex name or file: {target!r}")
+    except ValueError as exc:
+        raise CliInputError(f"malformed {source}: {exc}") from exc
+    return cat.NamedSphere(name or default_name, c, natural_coords=emb)
 
 
 def _emit(doc, as_json: bool, human_lines):

@@ -1,10 +1,11 @@
 """Immutable simplicial complexes and their combinatorial operations.
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
-vertex labels; all other faces are derived on demand.  The faces by
-dimension, the set of all faces (so ``is_face`` is one hash lookup), the
-missing faces and the GF(2) homology sphere verdict are each memoized
-per complex.  Every operation returns a new value, nothing is mutated.
+vertex labels; all other faces are derived on demand.  A complex
+memoizes three things: its faces by dimension (the one face index:
+``is_face`` looks a face up among the faces of its own dimension), its
+missing faces and its GF(2) homology sphere verdict.  Every operation
+returns a new value, nothing is mutated.
 
 Faces are enumerated once per complex, one frozenset per distinct face:
 each size's vertex tuples from all facets are gathered into one set
@@ -68,13 +69,9 @@ class SimplicialComplex:
         """The k-dimensional faces (k = -1 gives {∅})."""
         return self.faces_by_dim.get(k, frozenset())
 
-    @cached_property
-    def face_set(self) -> frozenset[frozenset[int]]:
-        """All faces of every dimension, including the empty face."""
-        return frozenset().union(*self.faces_by_dim.values())
-
     def is_face(self, tau) -> bool:
-        return frozenset(tau) in self.face_set
+        t = frozenset(tau)
+        return t in self.faces(len(t) - 1)
 
     @cached_property
     def _missing_faces(self) -> tuple[MissingFace, ...]:
@@ -84,13 +81,14 @@ class SimplicialComplex:
         among them, so each candidate is generated exactly once: a face f
         plus a vertex above max(f).
         """
-        faces, verts = self.face_set, self.vertices
+        verts = self.vertices
         out: list[frozenset[int]] = []
         for k in range(self.dim + 1):
-            for f in self.faces(k):
+            level, above = self.faces(k), self.faces(k + 1)
+            for f in level:
                 for v in verts[bisect_right(verts, max(f)):]:
                     s = f | {v}
-                    if s not in faces and all(s - {u} in faces for u in f):
+                    if s not in above and all(s - {u} in level for u in f):
                         out.append(s)
         out.sort(key=lambda s: (len(s), sorted(s)))
         return tuple(MissingFace(s) for s in out)
@@ -130,10 +128,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
-
-    @property
-    def edges(self) -> frozenset[frozenset[int]]:
-        return self.faces(1)
 
     def __repr__(self):
         return f"SimplicialComplex(f0={len(self.vertices)}, dim={self.dim}, facets={len(self.facets)})"

@@ -322,7 +322,7 @@ def _dim_lower_bound(h: list[int] | None, k: int) -> int:
 
 
 def _stresses(c: SimplicialComplex, e: Embedding, k: int,
-              h: list[int] | None) -> tuple[list[dict], bool]:
+              h: list[int] | None, exact: bool = False) -> tuple[list[dict], bool]:
     """The degree-k stresses of ``e`` as term dicts in graded-lex order,
     and whether they are a kernel over Q rather than mod p.
 
@@ -330,11 +330,12 @@ def _stresses(c: SimplicialComplex, e: Embedding, k: int,
     at least as long as the kernel over Q.  When its length meets the
     proven lower bound ``_dim_lower_bound(h, k)``, it is kept: its length
     is the dimension, and an empty one is also the kernel over Q.
-    Otherwise the exact kernel over Q is returned.  This is the one
-    place a kernel mod p is accepted."""
+    Otherwise, or with ``exact``, which skips the kernel mod p, the
+    exact kernel over Q is returned.  This is the one place a kernel mod
+    p is accepted."""
     cols = face_monomials(c, k)
     rows = _operator_rows(e, cols)
-    kernel = linalg.modp_kernel(rows, range(len(cols)))
+    kernel = None if exact else linalg.modp_kernel(rows, range(len(cols)))
     over_q = kernel is None or len(kernel) != _dim_lower_bound(h, k)
     if over_q:
         kernel = linalg.kernel_basis(rows, range(len(cols)))
@@ -429,7 +430,7 @@ def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[
             socle.append(0)
         else:
             if not over_q:  # kept mod p, but its derivatives fall short
-                terms = [p.terms for p in stress_space(c, e, k + 1).polys]
+                terms, _ = _stresses(c, e, k + 1, h, exact=True)
             socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
     return dims, socle
 

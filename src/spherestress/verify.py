@@ -8,6 +8,7 @@ diagnostic quantities and never affect the exit status.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,38 +152,18 @@ def _timed(report: VerificationReport, name: str, fn, *args):
 # Families
 # ---------------------------------------------------------------------------
 
-def _whole_catalog():
-    return [(name, cat.build(name)) for name in cat.catalog_names()]
+# Every family takes the run's seed and its ``build``, ``catalog.build``
+# cached for one ``run_families`` call, so all families read the same
+# sphere objects and share what each complex memoizes.
 
-
-# The first seed's stress numbers of each residual sphere, shared by the
-# stress and socle families: (sphere name, seed) -> (dims, socle).
-# run_families sets a fresh dict, only when it runs both families, and
-# drops it when it returns, so no call reuses another call's work.  The
-# stress family alone ranks the first seed with stress_dims, which needs
-# no bases and no derivative spans.
-_seed_numbers: dict | None = None
-
-
-def _first_seed_numbers(sphere, seed: int) -> tuple[list[int], list[int]]:
-    """``stress.stress_numbers`` of ``sphere`` under the generic embedding
-    of ``seed``, looked up in ``_seed_numbers`` when it is set."""
-    shared = {} if _seed_numbers is None else _seed_numbers
-    key = (sphere.name, seed)
-    if key not in shared:
-        shared[key] = st.stress_numbers(sphere.complex,
-                                        st.generic_embedding(sphere.complex, seed))
-    return shared[key]
-
-
-def rows_enumeration(seed: int) -> list[CheckRow]:
+def rows_enumeration(seed: int, build) -> list[CheckRow]:
     rows = []
     for d in range(2, 9):
-        h = h_from_f(f_vector(cc.boundary_simplex(d)), d)
+        h = h_from_f(f_vector(build(f"boundary-simplex-{d}").complex), d)
         rows.append(CheckRow("h-of-boundary-simplex", f"boundary-simplex-{d}",
                              _fmt(h), _fmt([1] * (d + 1)), h == [1] * (d + 1)))
-    for name, sphere in _whole_catalog():
-        c = sphere.complex
+    for name in cat.catalog_names():
+        c = build(name).complex
         d = c.dim + 1
         f = f_vector(c)
         h = h_from_f(f, d)
@@ -193,60 +174,54 @@ def rows_enumeration(seed: int) -> list[CheckRow]:
         if d % 2 == 1:
             g = g_vector(c)
             rows.append(CheckRow("odd-d-top-g-vanishes", name, _fmt(g[-1]), "0", g[-1] == 0))
-    for sphere in cat.residual_catalog():
-        c = sphere.complex
+        if c.dim >= 2 and cc.is_flag(c):
+            gamma = cat.invariants(c).gamma
+            rows.append(CheckRow("gamma-nonnegativity-probe", name, _fmt(list(gamma)),
+                                 ">= 0 componentwise", all(x >= 0 for x in gamma),
+                                 probe=True))
+    for name in cat.RESIDUAL:
+        c = build(name).complex
         d = c.dim + 1
         for k in range((d - 1) // 2 + 1):
             r = mcmullen_residual(c, k)
-            rows.append(CheckRow("g-link-sum-rule", f"{sphere.name}[k={k}]",
+            rows.append(CheckRow("g-link-sum-rule", f"{name}[k={k}]",
                                  _fmt(r), "0", r == 0))
         for i in range((d - 1) // 2 + 1):
             r = gamma_mcmullen_residual(c, i)
-            rows.append(CheckRow("gamma-link-sum-rule", f"{sphere.name}[i={i}]",
+            rows.append(CheckRow("gamma-link-sum-rule", f"{name}[i={i}]",
                                  _fmt(r), "0", r == 0))
     for name, k in (("K-2-4", 2), ("octahedron", 1), ("cross-5", 2)):
-        c = cat.build(name).complex
+        c = build(name).complex
         lhs, rhs = corollary_S_k_2k_bound(c, k)
         rows.append(CheckRow("g-k-vs-f0-over-k-plus-2", f"{name}[k={k}]",
                              _fmt(lhs), _fmt(rhs), Fraction(lhs) >= rhs))
-    for name, sphere in _whole_catalog():
-        c = sphere.complex
-        if c.dim < 2 or not cc.is_flag(c):
-            continue
-        gamma = cat.invariants(c).gamma
-        rows.append(CheckRow("gamma-nonnegativity-probe", name, _fmt(list(gamma)),
-                             ">= 0 componentwise", all(x >= 0 for x in gamma),
-                             probe=True))
     return rows
 
 
-def rows_stress(seed: int) -> list[CheckRow]:
+def rows_stress(seed: int, build) -> list[CheckRow]:
     rows = []
-    for sphere in cat.residual_catalog():
-        c = sphere.complex
+    for name in cat.RESIDUAL:
+        c = build(name).complex
         d = c.dim + 1
         g = g_vector(c)
         degrees = range(d // 2 + 1)
-        if _seed_numbers is None:
-            dims = st.stress_dims(c, st.generic_embedding(c, seed), degrees)
-        else:
-            dims, _ = _first_seed_numbers(sphere, seed)
+        dims = st.stress_dims(c, st.generic_embedding(c, seed), degrees)
         second = st.stress_dims(c, st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET),
                                 degrees)
         for k in degrees[1:]:
             d1, d2 = dims[k], second[k]
-            rows.append(CheckRow("stress-dim-seed-stable", f"{sphere.name}[k={k}]",
+            rows.append(CheckRow("stress-dim-seed-stable", f"{name}[k={k}]",
                                  _fmt(d1), _fmt(d2), d1 == d2))
-            rows.append(CheckRow("stress-dim-equals-g", f"{sphere.name}[k={k}]",
+            rows.append(CheckRow("stress-dim-equals-g", f"{name}[k={k}]",
                                  _fmt(d1), _fmt(g[k]), d1 == g[k]))
-    poly = cat.build("polytope-1")
+    poly = build("polytope-1")
     g = g_vector(poly.complex)
     dims = st.stress_dims(poly.complex, poly.natural_coords, (1, 2, 3))
     rows.append(CheckRow("stress-dim-natural", "polytope-1[k=1..3]",
                          _fmt(dims), _fmt([g[1], g[2], g[3]]),
                          dims == [g[1], g[2], g[3]] == [2, 3, 1]))
     for name in ("octahedron", "cross-4", "cross-5", "cross-6"):
-        sphere = cat.build(name)
+        sphere = build(name)
         c = sphere.complex
         g = g_vector(c)
         d = c.dim + 1
@@ -256,46 +231,46 @@ def rows_stress(seed: int) -> list[CheckRow]:
     return rows
 
 
-def rows_socle(seed: int) -> list[CheckRow]:
+def rows_socle(seed: int, build) -> list[CheckRow]:
     rows = []
-    for sphere in cat.residual_catalog():
-        c = sphere.complex
+    for name in cat.RESIDUAL:
+        c = build(name).complex
         d = c.dim + 1
-        _, soc = _first_seed_numbers(sphere, seed)
+        soc = st.socle_dims(c, st.generic_embedding(c, seed))
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
             m = counts.get(d - k, 0)
             if k < (d - 1) // 2:
                 rows.append(CheckRow("socle-equals-missing-count",
-                                     f"{sphere.name}[k={k}]", _fmt(soc[k]), _fmt(m),
+                                     f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
                                      soc[k] == m))
             elif k == (d - 1) // 2:
                 rows.append(CheckRow("socle-middle-at-least-missing-count",
-                                     f"{sphere.name}[k={k}]", _fmt(soc[k]), _fmt(m),
+                                     f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
                                      soc[k] >= m))
-    k24 = cat.build("K-2-4")
+    k24 = build("K-2-4")
     verdict = st.is_level(k24.complex, st.generic_embedding(k24.complex, seed), 2)
     rows.append(CheckRow("level-up-to-socle-degree", "K-2-4[up_to=2]",
                          str(verdict.holds), "True", verdict.holds, note=verdict.detail))
     return rows
 
 
-def rows_alpha(seed: int) -> list[CheckRow]:
+def rows_alpha(seed: int, build) -> list[CheckRow]:
     rows = []
-    for sphere in cat.residual_catalog() + [cat.build("cross-7")]:
-        c = sphere.complex
+    for name in (*cat.RESIDUAL, "cross-7"):
+        c = build(name).complex
         alpha, _ = independence_number(graph_of(c))
         f = f_vector(c)
         bound = turan_bound(f[1], f[2])
-        rows.append(CheckRow("alpha-within-turan", sphere.name, _fmt(alpha), _fmt(bound),
+        rows.append(CheckRow("alpha-within-turan", name, _fmt(alpha), _fmt(bound),
                              Fraction(alpha) >= bound))
         for chk in verify_alpha_inequalities(c):
             if chk.holds is None:
                 continue
-            rows.append(CheckRow(chk.statement, f"{sphere.name}[i={chk.index}]",
+            rows.append(CheckRow(chk.statement, f"{name}[i={chk.index}]",
                                  _fmt(chk.lhs), _fmt(chk.rhs), chk.holds))
     for name in ("polytope-2",):
-        c = cat.build(name).complex
+        c = build(name).complex
         for row in gk_ratio_sweep(c):
             rows.append(CheckRow(
                 "gk-ratio-sweep", f"{name}[k={row.k}]",
@@ -306,7 +281,7 @@ def rows_alpha(seed: int) -> list[CheckRow]:
     return rows
 
 
-def rows_sequences(seed: int) -> list[CheckRow]:
+def rows_sequences(seed: int, build) -> list[CheckRow]:
     rows = []
     monotone = all(
         seqs.macaulay_upper(a, i) <= seqs.macaulay_upper(a + 1, i)
@@ -315,8 +290,8 @@ def rows_sequences(seed: int) -> list[CheckRow]:
     verdict = seqs.is_M_sequence([1, 2, 4])
     rows.append(CheckRow("m-sequence-rejects", "(1,2,4)", str(verdict.holds), "False",
                          not verdict.holds, note=verdict.detail))
-    for name, sphere in _whole_catalog():
-        c = sphere.complex
+    for name in cat.catalog_names():
+        c = build(name).complex
         if c.dim < 2:
             continue
         g = list(g_vector(c))
@@ -331,19 +306,19 @@ def rows_sequences(seed: int) -> list[CheckRow]:
     return rows
 
 
-def rows_s24(seed: int) -> list[CheckRow]:
+def rows_s24(seed: int, build) -> list[CheckRow]:
     rows = []
-    for sphere in cat.s24_catalog():
-        c = sphere.complex
+    for name in cat.S24:
+        c = build(name).complex
         g2, bound, holds = s24.verify_theorem_main_s24(c)
-        rows.append(CheckRow("s24-main-bound", sphere.name, _fmt(g2), _fmt(bound), holds))
+        rows.append(CheckRow("s24-main-bound", name, _fmt(g2), _fmt(bound), holds))
         quarter = Fraction(len(c.vertices), 4)
-        rows.append(CheckRow("s24-quarter-bound", sphere.name, _fmt(g2), _fmt(quarter),
+        rows.append(CheckRow("s24-quarter-bound", name, _fmt(g2), _fmt(quarter),
                              Fraction(g2) >= quarter))
         pg2, pg1, p = s24.probe_nevo(c)
-        rows.append(CheckRow("s24-nevo-probe", sphere.name, _fmt(pg2), _fmt(pg1), p,
+        rows.append(CheckRow("s24-nevo-probe", name, _fmt(pg2), _fmt(pg1), p,
                              probe=True))
-        if sphere.name == "K-2-4":
+        if name == "K-2-4":
             rows.append(CheckRow("s24-bound-tight-at-minimum", "K-2-4", _fmt(g2),
                                  _fmt(bound), Fraction(g2) == bound))
     return rows
@@ -395,15 +370,11 @@ FAMILIES = {
 
 
 def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
-    global _seed_numbers
     report = VerificationReport(title="+".join(list(families) + [
         f"counterexample-{c[0]}" for c in counterexamples]))
-    _seed_numbers = {} if {"stress", "socle"} <= set(families) else None
-    try:
-        for fam in families:
-            _timed(report, fam, FAMILIES[fam], seed)
-    finally:
-        _seed_numbers = None
+    build = functools.cache(cat.build)
+    for fam in families:
+        _timed(report, fam, FAMILIES[fam], seed, build)
     for ce in counterexamples:
         if ce[0] == "level":
             _timed(report, "counterexample-level", rows_counterexample_level,

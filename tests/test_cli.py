@@ -53,6 +53,11 @@ class TestInfo:
         code, _, err = run(capsys, "info", str(path))
         assert code == 2 and "malformed" in err
 
+    def test_malformed_stdin_names_its_source(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("{broken"))
+        code, out, err = run(capsys, "info", "-")
+        assert code == 2 and out == "" and "malformed complex on stdin" in err
+
     def test_non_list_facets_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"facets": 5}'))
         code, _, err = run(capsys, "info", "-")

@@ -386,6 +386,23 @@ class TestCohenMacaulayCertificate:
         # only the degree-2 socle: one exact degree-3 basis, one exact span
         assert q_path == {"kernel_basis": 1, "rank_of": 1}
 
+    def test_socle_fallback_takes_no_second_kernel_mod_p(self, monkeypatch):
+        # K-2-5's degree-3 kernel is kept mod p, but its derivatives fall
+        # short of the degree-2 dimension: that socle is ranked over Q
+        # from the degree-3 rows, with no second kernel mod p
+        c = build("K-2-5").complex
+        e = ss.generic_embedding(c, 17)
+        kernels = []
+        real = linalg.modp_kernel
+
+        def modp_kernel(rows, columns):
+            kernels.append(len(columns))
+            return real(rows, columns)
+        monkeypatch.setattr(linalg, "modp_kernel", modp_kernel)
+        dims, socle = st.stress_numbers(c, e)
+        assert socle == [0, 0, 1, 1]
+        assert len(kernels) == len(dims) - 1 == 4  # one per degree 1..4
+
     def check_falls_back(self, c, e, q_path):
         expected = q_numbers(c, e)
         dims = expected[0][1:]

@@ -1,11 +1,15 @@
-"""The first-seed stress numbers that the stress and socle families share
-within one ``verify.run_families`` call."""
+"""What the verify families share within one ``verify.run_families``
+call: each catalog sphere is built once, so every family reads the same
+complex objects and their memoized faces, missing faces and homology
+verdict."""
 
+import functools
 from collections import Counter
 
 import pytest
 
 from spherestress import catalog as cat
+from spherestress import complex_core as cc
 from spherestress import linalg
 from spherestress import stress as st
 from spherestress import verify as ver
@@ -13,30 +17,31 @@ from spherestress import verify as ver
 SOCLE_IDS = {"socle-equals-missing-count", "socle-middle-at-least-missing-count",
              "level-up-to-socle-degree"}
 SEED = 17
+SHRUNK = ("octahedron", "K-2-4")
 
 
 @pytest.fixture
 def made(monkeypatch):
     """Shrink the residual catalog to the octahedron and K-2-4, and map
-    the id of each complex it builds to the sphere's name."""
+    the id of each complex built for one of them to the sphere's name."""
     made = {}  # id of a catalog complex -> (complex, sphere name)
+    real = cat.build
 
-    def residual_catalog():
-        spheres = [cat.build("octahedron"), cat.build("K-2-4")]
-        for s in spheres:
-            made[id(s.complex)] = (s.complex, s.name)  # kept alive: ids stay unique
-        return spheres
+    def build(name):
+        sphere = real(name)
+        if name in SHRUNK:
+            made[id(sphere.complex)] = (sphere.complex, name)  # kept alive: ids stay unique
+        return sphere
 
-    monkeypatch.setattr(cat, "residual_catalog", residual_catalog)
+    monkeypatch.setattr(cat, "RESIDUAL", SHRUNK)
+    monkeypatch.setattr(cat, "build", build)
     return made
 
 
 @pytest.fixture
 def calls(made, monkeypatch):
     """Count the ``stress.stress_numbers`` calls on the shrunken residual
-    catalog's spheres, keyed by (sphere name, embedding seed).  Calls on
-    other complexes (the K-2-4 that the level check builds itself) are
-    not counted."""
+    catalog's spheres, keyed by (sphere name, embedding seed)."""
     counter = Counter()
     real = st.stress_numbers
 
@@ -49,29 +54,57 @@ def calls(made, monkeypatch):
     return counter
 
 
-ONCE_EACH = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 1})
+# the socle family's socles: one per residual sphere, and K-2-4's again
+# for the level row
+SOCLE_CALLS = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 2})
 
 
 def socle_rows(report):
     return [r for r in report.checks if r.check_id in SOCLE_IDS]
 
 
-def test_one_space_per_sphere_and_degree(calls, monkeypatch):
-    dim_seeds = []
+def test_each_sphere_built_and_numbered_once_per_run(monkeypatch):
+    builds, numbered = Counter(), Counter()
+    names = {}  # id of a built complex -> (complex, name)
+    real_build, real_numbered = cat.build, cc._numbered_faces
+
+    def build(name):
+        builds[name] += 1
+        sphere = real_build(name)
+        names[id(sphere.complex)] = (sphere.complex, name)
+        return sphere
+
+    def numbered_faces(c):
+        if id(c) in names:
+            numbered[names[id(c)][1]] += 1
+        return real_numbered(c)
+
+    monkeypatch.setattr(cat, "build", build)
+    monkeypatch.setattr(cc, "_numbered_faces", numbered_faces)
+    assert ver.run_families(list(ver.FAMILIES), SEED).ok
+    assert set(builds) == set(cat.catalog_names())
+    assert max(builds.values()) == 1
+    assert numbered and max(numbered.values()) == 1
+
+
+def test_stress_family_ranks_both_seeds(calls, made, monkeypatch):
+    dim_seeds = Counter()
     real = st.stress_dims
 
     def stress_dims(c, e, degrees):
-        dim_seeds.append(e.seed)
+        if id(c) in made:
+            dim_seeds[(made[id(c)][1], e.seed)] += 1
         return real(c, e, degrees)
 
     monkeypatch.setattr(st, "stress_dims", stress_dims)
     report = ver.run_families(["stress", "socle"], SEED)
     assert report.ok
-    assert calls == ONCE_EACH
-    # the first seed's dims come from the shared numbers; only the second
-    # seed and the natural embeddings are ranked by stress_dims
-    assert SEED not in dim_seeds
-    assert SEED + st.SECOND_SEED_OFFSET in dim_seeds
+    # the stress family ranks each seed once and takes no socle; the
+    # natural embedding of the octahedron is ranked too
+    assert dim_seeds == Counter({(name, seed): 1 for name in SHRUNK
+                                 for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
+                                ) + Counter({("octahedron", None): 1})
+    assert calls == SOCLE_CALLS
 
 
 def test_second_run_recomputes(calls):
@@ -79,14 +112,14 @@ def test_second_run_recomputes(calls):
     first = Counter(calls)
     calls.clear()
     ver.run_families(["stress", "socle"], SEED)
-    assert calls == first == ONCE_EACH
+    assert calls == first == SOCLE_CALLS
 
 
 def test_socle_alone_matches_combined_run(calls):
     combined = socle_rows(ver.run_families(["stress", "socle"], SEED))
     calls.clear()
     alone = socle_rows(ver.run_families(["socle"], SEED))
-    assert calls == ONCE_EACH
+    assert calls == SOCLE_CALLS
     assert alone == combined
     assert len(alone) == 2 + 3 + 1  # octahedron k=0..1, K-2-4 k=0..2, the level row
 
@@ -100,7 +133,8 @@ def test_stress_alone_ranks_only(calls):
 
 def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
     # rows_stress ranks all degrees of an embedding in one stress_dims
-    # call, so the l.s.o.p. check ranks each facet minor once per seed
+    # call, so the l.s.o.p. check ranks each facet minor once per
+    # embedding: two seeds, and the octahedron's natural coordinates
     minors = Counter()
     checking = []  # (sphere name, seed) of the running l.s.o.p. check, or None
     real_h, real_rank = st._cohen_macaulay_h, linalg.modp_rank
@@ -119,7 +153,8 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     monkeypatch.setattr(linalg, "modp_rank", modp_rank)
-    assert all(r.holds for r in ver.rows_stress(SEED))
-    facets = {name: len(cat.build(name).complex.facets) for name in ("octahedron", "K-2-4")}
+    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build)))
+    facets = {name: len(cat.build(name).complex.facets) for name in SHRUNK}
     assert minors == Counter({(name, seed): n for name, n in facets.items()
-                              for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)})
+                              for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
+                             ) + Counter({("octahedron", None): facets["octahedron"]})
