@@ -17,6 +17,11 @@ and settles facets and ridges by counting.  Likewise the vertex-link
 f-vectors of the link sum rules (``enumeration``) are counted from the
 parent's faces.
 
+A trial edge contraction builds no complex either:
+``contraction_missing_faces`` decides the missing faces after the
+contraction from the parent's memoized missing faces and the faces of
+the facets through the edge.
+
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
 (-1)-dimensional sphere; ``from_facets`` never produces it.
@@ -323,6 +328,17 @@ class InadmissibleContraction(ValueError):
         )
 
 
+def _contractible_edge(c: SimplicialComplex, u: int, v: int) -> frozenset[int]:
+    """The edge uv, checked to lie in no missing face of ``c``."""
+    e = frozenset({u, v})
+    if not c.is_face(e):
+        raise ValueError(f"{sorted(e)} is not an edge")
+    for mf in c._missing_faces:
+        if e <= mf.vertex_set:
+            raise InadmissibleContraction(e, mf.vertex_set)
+    return e
+
+
 def contract_edge(c: SimplicialComplex, u: int, v: int) -> SimplicialComplex:
     """Contract the edge uv to a fresh vertex.
 
@@ -331,14 +347,50 @@ def contract_edge(c: SimplicialComplex, u: int, v: int) -> SimplicialComplex:
     witness missing face.  The new vertex gets label max(vertices)+1.
     The result is not checked for sphere-ness; callers validate.
     """
-    e = frozenset({u, v})
-    if not c.is_face(e):
-        raise ValueError(f"{sorted(e)} is not an edge")
-    for mf in missing_faces(c):
-        if e <= mf.vertex_set:
-            raise InadmissibleContraction(e, mf.vertex_set)
+    e = _contractible_edge(c, u, v)
     w = max(c.vertices) + 1
     return _make([(f - e) | {w} if f & e else f for f in c.facets])
+
+
+def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[MissingFace]:
+    """``missing_faces(contract_edge(c, u, v))``, in the same order,
+    without building the contracted complex; raises as ``contract_edge``.
+
+    Let w = max(vertices) + 1 be the new vertex.  A set avoiding w is a
+    face after the contraction exactly when it was a face of ``c``
+    avoiding u and v, so the memoized missing faces of ``c`` that avoid
+    u and v stay missing, and every other missing face contains w.
+    lk(w) consists of the faces of F - {u, v} over the facets F meeting
+    uv, and T ∪ {w} is missing exactly when T is a face of ``c``
+    avoiding u and v, T is not in lk(w), and every T minus one vertex
+    is.  A single vertex T qualifies when it is adjacent to neither u
+    nor v.  A larger T has its vertices in lk(w), so it is a face of
+    lk(w) plus a vertex of lk(w) above its largest label, as in
+    ``_missing_faces``.
+    """
+    e = _contractible_edge(c, u, v)
+    w = max(c.vertices) + 1
+    star = [sorted(f - e) for f in c.facets if f & e]
+    lk: list[set[tuple[int, ...]]] = [{()}]  # faces of lk(w) by size, sorted tuples
+    for k in range(1, max(map(len, star)) + 1):
+        level: set[tuple[int, ...]] = set()
+        for f in star:
+            level.update(combinations(f, k))
+        lk.append(level)
+    lk.append(set())
+    near = sorted(x for (x,) in lk[1])
+    out = [m.vertex_set for m in c._missing_faces if not m.vertex_set & e]
+    out += [frozenset({x, w}) for x in c.vertices if x not in e and (x,) not in lk[1]]
+    for k in range(1, len(lk) - 1):
+        level, above, faces = lk[k], lk[k + 1], c.faces(k)
+        for f in level:
+            for y in near[bisect_right(near, f[-1]):]:
+                t = f + (y,)
+                if t not in above and all(t[:i] + t[i + 1:] in level for i in range(k)) \
+                        and frozenset(t) in faces:
+                    out.append(frozenset(t + (w,)))
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return [MissingFace(s) for s in out]
 
 
 # ---------------------------------------------------------------------------

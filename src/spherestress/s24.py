@@ -4,6 +4,10 @@ Covers admissible edge contractions, the two reduced-ness conditions,
 detection of induced subcomplexes isomorphic to the join of two empty
 triangles (written Gamma below), splitting along such a Gamma, and the
 exact-rational verifier of the main lower bound g_2 >= (2/5) f_0 - 6/5.
+
+A trial contraction is decided from the parent's missing faces and the
+faces near the edge; the contracted complex is built only for the edge
+that is actually contracted.
 """
 
 from __future__ import annotations
@@ -33,9 +37,20 @@ def _require_s24(c: SimplicialComplex):
         raise NotInS24(f"missing faces of dimension {j} > 2")
 
 
+def _require_s24_sphere(c: SimplicialComplex):
+    """The class gate, then the GF(2) homology sphere test on ``c``."""
+    _require_s24(c)
+    if not c.is_pure() or not cc.is_z2_homology_sphere(c):
+        raise ValueError("input is not a homology 4-sphere over GF(2)")
+
+
 def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     """Edges whose contraction is defined (they lie in no missing face)
-    and keeps every missing face of dimension at most 2."""
+    and keeps every missing face of dimension at most 2.
+
+    No trial complex is built: the missing faces after each contraction
+    come from ``cc.contraction_missing_faces``, which reads the parent's
+    memoized missing faces and the faces near the edge."""
     _require_s24(c)
     mfs = [m.vertex_set for m in missing_faces(c)]
     out = []
@@ -43,8 +58,7 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
         if any(e <= m for m in mfs):
             continue
         u, v = sorted(e)
-        contracted = cc.contract_edge(c, u, v)
-        if cc.max_missing_dim(contracted) <= 2:
+        if all(m.dim <= 2 for m in cc.contraction_missing_faces(c, u, v)):
             out.append(e)
     return out
 
@@ -184,18 +198,20 @@ def violates_condition_two(gammas) -> list[frozenset[int]]:
 
 def reduction_report(c: SimplicialComplex) -> ReductionReport:
     """Contract admissible edges greedily (smallest edge first) until
-    none remain, then report both reduced-ness conditions."""
-    _require_s24(c)
+    none remain, then report both reduced-ness conditions.
+
+    Only the input is checked to be a GF(2) homology 4-sphere.  Each
+    contraction made satisfies the link condition, so it keeps the PL
+    type, and the complexes along the way are not checked again."""
+    _require_s24_sphere(c)
     trace: list[tuple[str, tuple[int, int]]] = []
     current = c
-    while True:
-        edges = admissible_contractions(current)
-        if not edges:
-            break
+    edges = admissible_contractions(current)
+    while edges:
         u, v = sorted(min(edges, key=sorted))
         current = cc.contract_edge(current, u, v)
         trace.append(("contract", (u, v)))
-    edges = admissible_contractions(current)
+        edges = admissible_contractions(current)
     gammas = find_induced_gamma(current)
     reduced = not edges and not violates_condition_two(gammas)
     return ReductionReport(tuple(edges), tuple(gammas), reduced, tuple(trace), current)
@@ -203,9 +219,7 @@ def reduction_report(c: SimplicialComplex) -> ReductionReport:
 
 def verify_theorem_main_s24(c: SimplicialComplex) -> tuple[int, Fraction, bool]:
     """Exact check of g_2 >= (2/5) f_0 - 6/5; returns (g_2, bound, holds)."""
-    _require_s24(c)
-    if not cc.is_z2_homology_sphere(c):
-        raise ValueError("input is not a homology 4-sphere over GF(2)")
+    _require_s24_sphere(c)
     g2 = g_vector(c)[2]
     bound = Fraction(2, 5) * len(c.vertices) - Fraction(6, 5)
     return g2, bound, g2 >= bound
@@ -213,7 +227,7 @@ def verify_theorem_main_s24(c: SimplicialComplex) -> tuple[int, Fraction, bool]:
 
 def probe_nevo(c: SimplicialComplex) -> tuple[int, int, bool]:
     """Conjecture probe only, never a pass/fail gate: (g_2, g_1, g_2 >= g_1)."""
-    _require_s24(c)
+    _require_s24_sphere(c)
     g = g_vector(c)
     return g[2], g[1], g[2] >= g[1]
 

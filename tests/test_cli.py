@@ -254,6 +254,13 @@ class TestS24Command:
         code, _, err = run(capsys, "s24", "verify", "octahedron")
         assert code == 2
 
+    @pytest.mark.parametrize("action", ["reduce", "probe-nevo"])
+    def test_ball_exits_2(self, action, capsys, monkeypatch):
+        ball = '{"facets": [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(ball))
+        code, out, err = run(capsys, "s24", action, "-")
+        assert code == 2 and out == "" and "not a homology 4-sphere over GF(2)" in err
+
 
 class TestVerify:
     def test_family_json_deterministic(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 import spherestress as ss
 from spherestress import complex_core as cc
+from spherestress.catalog import S24
 from spherestress.complex_core import EMPTY, _make, _maximalize, z2_reduced_betti
 from spherestress.enumeration import vertex_link_f_vectors
 from spherestress.linalg import gf2_rank
@@ -189,14 +190,14 @@ class TestMissingFaces:
             | {(6, 7, 8)}
         assert got == expect
 
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     @given(facet_lists)
     def test_matches_brute_force(self, facets):
         c = ss.from_facets(facets)
         assert [sorted(m.vertex_set) for m in ss.missing_faces(c)] \
             == brute_missing_faces(c)
 
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     @given(facet_lists)
     def test_is_face_matches_facet_scan(self, facets):
         c = ss.from_facets(facets)
@@ -265,6 +266,48 @@ class TestContraction:
                     if any(lk_v.is_face(f) for f in fs)}
                 in_missing = any(e <= m for m in missing)
                 assert (lk_e != common) == in_missing
+
+
+def assert_contraction_missing_faces(c, e):
+    """``contraction_missing_faces`` equals the missing faces of the
+    contracted complex, or raises what ``contract_edge`` raises."""
+    u, v = sorted(e)
+    try:
+        want = ss.missing_faces(ss.contract_edge(c, u, v))
+    except ss.InadmissibleContraction as exc:
+        with pytest.raises(ss.InadmissibleContraction) as got:
+            cc.contraction_missing_faces(c, u, v)
+        assert got.value.witness == exc.witness
+        return False
+    assert cc.contraction_missing_faces(c, u, v) == want
+    return True
+
+
+class TestContractionMissingFaces:
+    @settings(max_examples=200)
+    @given(facet_lists)
+    def test_matches_contracted_complex(self, facets):
+        c = ss.from_facets(facets)
+        for e in c.faces(1):
+            assert_contraction_missing_faces(c, e)
+
+    @pytest.mark.parametrize("name", S24)
+    def test_matches_on_s24_catalog(self, name):
+        c = ss.build(name).complex
+        kept = [assert_contraction_missing_faces(c, e) for e in c.faces(1)]
+        assert any(kept)
+
+    def test_five_cycle_to_square(self):
+        # 35 avoids the edge 12 and stays missing; 4 is adjacent to
+        # neither 1 nor 2, so 46 is a new missing edge
+        assert [sorted(m.vertex_set) for m in cc.contraction_missing_faces(ss.cycle(5), 1, 2)] \
+            == [[3, 5], [4, 6]]
+
+    def test_refuses_like_contract_edge(self):
+        with pytest.raises(ss.InadmissibleContraction):
+            cc.contraction_missing_faces(ss.boundary_simplex(3), 1, 2)
+        with pytest.raises(ValueError, match="not an edge"):
+            cc.contraction_missing_faces(ss.cycle(5), 1, 3)
 
 
 def reference_betti(c):
@@ -406,12 +449,12 @@ class TestHomology:
         assert reference_z2_sphere(c)
         assert ss.is_z2_homology_sphere(c)
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(pure_complexes())
     def test_matches_link_by_link_reference(self, c):
         assert ss.is_z2_homology_sphere(c) == reference_z2_sphere(c)
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(facet_lists)
     def test_betti_matches_full_boundary_ranks(self, facets):
         c = ss.from_facets(facets)
@@ -419,7 +462,7 @@ class TestHomology:
 
 
 class TestFaceEnumeration:
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(facet_lists.map(ss.from_facets))
     @example(EMPTY)
     def test_faces_match_per_facet_reference(self, c):
@@ -427,13 +470,13 @@ class TestFaceEnumeration:
         assert got == reference_faces_by_dim(c)
         assert list(got) == list(range(-1, c.dim + 1))
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(pure_complexes())
     def test_vertex_link_f_vectors_match_built_links(self, c):
         assert vertex_link_f_vectors(c) == {
             v: ss.f_vector(ss.link(c, {v})) for v in c.vertices}
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(hs.lists(hs.frozensets(hs.integers(1, 6), max_size=5), max_size=12))
     def test_maximalize_matches_definition(self, sets):
         assert _maximalize(sets) == {s for s in sets if not any(s < t for t in sets)}

@@ -127,7 +127,7 @@ def some_kernel_basis(rows, ncols, rnd):
 
 
 class TestKernelMatchesLeftmostLoop:
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(small_matrices, hs.randoms(use_true_random=False))
     def test_equal_and_order_free(self, matrix, rnd):
         rows = as_rows(matrix)
@@ -222,7 +222,7 @@ def mod_p(vec, p):
 
 
 class TestModpCertificates:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(small_matrices)
     def test_agree_with_plain_elimination(self, matrix):
         rows = as_rows(matrix)

@@ -1,11 +1,16 @@
 """Tests for the reduction machinery on 4-spheres with small missing faces."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 import spherestress as ss
+from spherestress import complex_core as cc
 from spherestress.s24 import violates_condition_two
+
+# A 4-ball: two 4-simplices glued along a tetrahedron, in class S(1,4).
+BALL = ss.from_facets([[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]])
 
 
 def subdivide_edge(c, u, v, new):
@@ -36,7 +41,45 @@ def glued_sphere():
     return ss.from_facets([tuple(f) for f in side.facets | other.facets])
 
 
+def reference_admissible(c):
+    """The definition: contract each edge in no missing face, keep it
+    when the contracted complex has no missing face above dimension 2."""
+    missing = [m.vertex_set for m in ss.missing_faces(c)]
+    out = []
+    for e in sorted(c.faces(1), key=sorted):
+        if not any(e <= m for m in missing):
+            u, v = sorted(e)
+            if ss.max_missing_dim(ss.contract_edge(c, u, v)) <= 2:
+                out.append(e)
+    return out
+
+
 class TestAdmissibleContractions:
+    def test_matches_definition_along_a_reduction(self):
+        c = ss.build("cyclejoin-4-5").complex
+        rep = ss.reduction_report(c)
+        assert rep.trace
+        for _, (u, v) in rep.trace:
+            assert ss.admissible_contractions(c) == reference_admissible(c)
+            c = ss.contract_edge(c, u, v)
+        assert ss.admissible_contractions(c) == reference_admissible(c) == []
+
+    def test_builds_no_trial_complex(self, monkeypatch):
+        c = ss.from_facets(ss.build("cyclejoin-4-5").complex.facets)
+        enumerated = []
+        real = cc.SimplicialComplex.faces_by_dim.func
+
+        def faces_by_dim(self):
+            enumerated.append(self)
+            return real(self)
+        counted = functools.cached_property(faces_by_dim)
+        counted.__set_name__(cc.SimplicialComplex, "faces_by_dim")
+        monkeypatch.setattr(cc.SimplicialComplex, "faces_by_dim", counted)
+        monkeypatch.setattr(cc, "contract_edge",
+                            lambda *a: pytest.fail("contract_edge called"))
+        assert ss.admissible_contractions(c)
+        assert len(enumerated) == 1 and enumerated[0] is c
+
     def test_K24_has_none(self):
         assert ss.admissible_contractions(ss.build("K-2-4").complex) == []
 
@@ -178,11 +221,16 @@ class TestMainTheorem:
         assert len(c.vertices) == 11 and bound == Fraction(16, 5)
         assert g2 >= bound
 
+    def test_cone_fails_class_gate(self):
+        # the cone over K-2-4 is 5-dimensional, so the class gate fires first
+        with pytest.raises(ss.NotInS24, match="dimension 5"):
+            ss.verify_theorem_main_s24(ss.cone(ss.build("K-2-4").complex))
+
     def test_sphere_validation(self):
-        ball = ss.cone(ss.build("K-2-4").complex)  # a 5-ball, d = 5 complex? no:
-        # the cone is 5-dimensional, so the class gate fires first
-        with pytest.raises(ss.NotInS24):
-            ss.verify_theorem_main_s24(ball)
+        assert ss.in_s24(BALL)
+        for check in (ss.verify_theorem_main_s24, ss.reduction_report, ss.probe_nevo):
+            with pytest.raises(ValueError, match="not a homology 4-sphere"):
+                check(BALL)
 
 
 class TestProbeAndClassifier:

@@ -465,7 +465,7 @@ class TestCohenMacaulayCertificate:
         assert st.stress_numbers(c, e) == expected
         assert len(eliminations) == len(expected[0]) - 1  # degrees 1..floor(d/2)+1
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
                             "K-2-4"]), hs.data())
     def test_matches_q_path(self, name, data):
