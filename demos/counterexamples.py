@@ -15,6 +15,8 @@ Run:  python3 demos/counterexamples.py
 
 import spherestress as ss
 
+SEED = 7  # of the generic embedding that the socles are computed under
+
 print("=== band formula and failure of levelness ===\n")
 for u, k in ((3, 1), (4, 1)):
     rep = ss.verify_counterexample_level(u, k)
@@ -24,9 +26,9 @@ for u, k in ((3, 1), (4, 1)):
     print(f"  g_u = {rep.g_top}, g_1 = {rep.g1}, g_(u-1) = {rep.g_top_minus1}")
     print(f"  level test: {'passes' if rep.level_verdict.holds else 'FAILS'}")
     print(f"    ({rep.level_verdict.detail})")
-    if rep.socle is not None:
-        print(f"  stress-space socle by degree: {list(rep.socle)}"
-              f"  (nonzero below degree {u}: {rep.socle_nonzero_below_top})")
+    socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, SEED))
+    print(f"  stress-space socle by degree: {socle}"
+          f"  (nonzero below degree {u}: {not ss.is_level(socle, u).holds})")
     print()
 
 print("Truncating at min(u, floor((d-1)/2)) = 2 still passes, so the")

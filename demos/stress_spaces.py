@@ -47,7 +47,7 @@ for name in ("octahedron", "K-2-4", "K-2-5"):
           f"missing-face counts {ss.missing_face_counts(c)}")
 k24 = ss.build("K-2-4").complex
 print("\nK-2-4 is level up to degree 2:",
-      ss.is_level(k24, ss.generic_embedding(k24, SEED), 2).holds)
+      ss.is_level(ss.socle_dims(k24, ss.generic_embedding(k24, SEED)), 2).holds)
 
 print("\n=== star-supported stresses ===\n")
 oct_ = ss.build("octahedron").complex

@@ -105,6 +105,7 @@ def example_g_formula(u: int, k: int, j: int) -> int:
 @dataclass(frozen=True)
 class LevelCounterexampleReport:
     name: str
+    complex: SimplicialComplex
     u: int
     k: int
     g: tuple[int, ...]
@@ -114,26 +115,21 @@ class LevelCounterexampleReport:
     g1: int
     g_top_minus1: int
     level_verdict: SequenceVerdict
-    socle: tuple[int, ...] | None
-    socle_nonzero_below_top: bool | None
 
     @property
     def reproduced(self) -> bool:
-        base = (self.formula_matches and self.g_top == 1
+        return (self.formula_matches and self.g_top == 1
                 and not self.level_verdict.holds)
-        if self.socle is None:
-            return base
-        return base and bool(self.socle_nonzero_below_top)
 
 
-def verify_counterexample_level(u: int, k: int, seed: int = 7) -> LevelCounterexampleReport:
+def verify_counterexample_level(u: int, k: int) -> LevelCounterexampleReport:
     """Reproduce the failure of levelness for the g-vector of K(u-k, 2u-1).
 
     The computed g-vector must match the piecewise formula band by band,
     end in g_u = 1, and fail the level necessary conditions (it is
-    asymmetric: g_1 = 2 while g_{u-1} = 3).  For u <= 4 the
-    stress-space socle is computed under a generic embedding and must be
-    nonzero in some degree below u.
+    asymmetric: g_1 = 2 while g_{u-1} = 3).  The checks are
+    combinatorial; the stress-space socle of the returned ``complex`` is
+    checked by ``verify.rows_counterexample_level``.
     """
     if not u >= 3 * k >= 3:
         raise ValueError(f"need u >= 3k >= 3, got u={u}, k={k}")
@@ -142,17 +138,10 @@ def verify_counterexample_level(u: int, k: int, seed: int = 7) -> LevelCounterex
     sphere = build_K(u - k, 2 * u)
     g = tuple(g_vector(sphere.complex))
     formula = tuple(example_g_formula(u, k, j) for j in range(u + 1))
-    verdict = level_necessary_conditions(list(g))
-    socle = None
-    nonzero_below = None
-    if u <= 4:
-        emb = st.generic_embedding(sphere.complex, seed)
-        socle = tuple(st.socle_dims(sphere.complex, emb))
-        nonzero_below = any(socle[i] != 0 for i in range(min(u, len(socle))))
     return LevelCounterexampleReport(
-        name=sphere.name, u=u, k=k, g=g, formula=formula,
+        name=sphere.name, complex=sphere.complex, u=u, k=k, g=g, formula=formula,
         formula_matches=(g == formula), g_top=g[u], g1=g[1], g_top_minus1=g[u - 1],
-        level_verdict=verdict, socle=socle, socle_nonzero_below_top=nonzero_below)
+        level_verdict=level_necessary_conditions(list(g)))
 
 
 # ---------------------------------------------------------------------------

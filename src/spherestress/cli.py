@@ -24,7 +24,7 @@ from . import sequences as seqs
 from . import stress as st
 from . import verify as ver
 from .enumeration import f_vector, g_vector, guaranteed_level_degree, invariants
-from .graphs import VertexCapExceeded, graph_of, independence_number, turan_bound
+from .graphs import VERTEX_CAP, VertexCapExceeded, graph_of, independence_number, turan_bound
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -274,21 +274,16 @@ def cmd_verify(args) -> int:
         doc = dict(sorted(ver.EXPLAIN.items()))
         _emit(doc, args.json, [f"{k}: {v}" for k, v in sorted(ver.EXPLAIN.items())])
         return EXIT_OK
-    families: list[str] = []
-    counterexamples: list[tuple] = []
+    params = {"level": (args.u, args.k), "support": (args.m,)}
     if args.all:
-        families = list(ver.FAMILIES)
-        counterexamples = [("level", args.u, args.k), ("support", args.m)]
+        families, chosen = list(ver.FAMILIES), list(ver.COUNTEREXAMPLES)
     else:
-        if args.family:
-            if args.family not in ver.FAMILIES:
-                raise CliInputError(
-                    f"unknown family {args.family!r}; choose from {sorted(ver.FAMILIES)}")
-            families.append(args.family)
-        if args.counterexample == "level":
-            counterexamples.append(("level", args.u, args.k))
-        elif args.counterexample == "support":
-            counterexamples.append(("support", args.m))
+        if args.family and args.family not in ver.FAMILIES:
+            raise CliInputError(
+                f"unknown family {args.family!r}; choose from {sorted(ver.FAMILIES)}")
+        families = [args.family] if args.family else []
+        chosen = [args.counterexample] if args.counterexample else []
+    counterexamples = [(ce, *params[ce]) for ce in chosen]
     if not families and not counterexamples:
         raise CliInputError("verify needs --all, --family, or --counterexample")
 
@@ -357,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("alpha", help="exact independence number of the graph")
     add_common(sp)
-    sp.add_argument("--cap-vertices", type=int, default=64)
+    sp.add_argument("--cap-vertices", type=int, default=VERTEX_CAP)
     sp.set_defaults(fn=cmd_alpha)
 
     sp = sub.add_parser("s24", help="reduction machinery for 4-spheres, missing dims <= 2")
@@ -368,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run verification report families")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--family", help="|".join(sorted(ver.FAMILIES)))
-    sp.add_argument("--counterexample", choices=["level", "support"])
+    sp.add_argument("--counterexample", choices=list(ver.COUNTEREXAMPLES))
     sp.add_argument("--u", type=int, default=3)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=int, default=1)

@@ -440,12 +440,11 @@ def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
     return stress_numbers(c, e)[1]
 
 
-def is_level(c: SimplicialComplex, e: Embedding, up_to: int) -> SequenceVerdict:
-    """True when the socle dimensions vanish strictly below degree up_to."""
-    d = c.dim + 1
-    if up_to > d // 2:
-        raise ValueError(f"up_to must be at most floor(d/2) = {d // 2}")
-    soc = socle_dims(c, e)
+def is_level(soc: list[int], up_to: int) -> SequenceVerdict:
+    """True when the socle vector ``soc`` (of ``socle_dims``) vanishes
+    strictly below degree up_to, which must not exceed its top degree."""
+    if up_to >= len(soc):
+        raise ValueError(f"up_to must be at most the top socle degree {len(soc) - 1}")
     for k in range(up_to):
         if soc[k] != 0:
             return SequenceVerdict(False, failing_index=k,

@@ -3,7 +3,8 @@
 Every check row carries a statement id; the EXPLAIN table maps each id
 to the identity or inequality it tests, so failures are
 self-documenting.  Rows marked as probes record conjectural or purely
-diagnostic quantities and never affect the exit status.
+diagnostic quantities and never affect the exit status.  A run builds
+each catalog sphere and computes each socle once (see ``run_families``).
 """
 
 from __future__ import annotations
@@ -152,11 +153,13 @@ def _timed(report: VerificationReport, name: str, fn, *args):
 # Families
 # ---------------------------------------------------------------------------
 
-# Every family takes the run's seed and its ``build``, ``catalog.build``
-# cached for one ``run_families`` call, so all families read the same
-# sphere objects and share what each complex memoizes.
+# Every family and counterexample takes the run's seed, its ``build``
+# (``catalog.build`` cached for one ``run_families`` call, so all read
+# the same sphere objects and share what each complex memoizes) and its
+# ``socle`` (``stress.socle_dims`` under the seed's generic embedding,
+# cached for the run by the complex's value), then its own parameters.
 
-def rows_enumeration(seed: int, build) -> list[CheckRow]:
+def rows_enumeration(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     for d in range(2, 9):
         h = h_from_f(f_vector(build(f"boundary-simplex-{d}").complex), d)
@@ -198,7 +201,7 @@ def rows_enumeration(seed: int, build) -> list[CheckRow]:
     return rows
 
 
-def rows_stress(seed: int, build) -> list[CheckRow]:
+def rows_stress(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     for name in cat.RESIDUAL:
         c = build(name).complex
@@ -231,12 +234,12 @@ def rows_stress(seed: int, build) -> list[CheckRow]:
     return rows
 
 
-def rows_socle(seed: int, build) -> list[CheckRow]:
+def rows_socle(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     for name in cat.RESIDUAL:
         c = build(name).complex
         d = c.dim + 1
-        soc = st.socle_dims(c, st.generic_embedding(c, seed))
+        soc = socle(c)
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
             m = counts.get(d - k, 0)
@@ -248,14 +251,13 @@ def rows_socle(seed: int, build) -> list[CheckRow]:
                 rows.append(CheckRow("socle-middle-at-least-missing-count",
                                      f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
                                      soc[k] >= m))
-    k24 = build("K-2-4")
-    verdict = st.is_level(k24.complex, st.generic_embedding(k24.complex, seed), 2)
+    verdict = st.is_level(socle(build("K-2-4").complex), 2)
     rows.append(CheckRow("level-up-to-socle-degree", "K-2-4[up_to=2]",
                          str(verdict.holds), "True", verdict.holds, note=verdict.detail))
     return rows
 
 
-def rows_alpha(seed: int, build) -> list[CheckRow]:
+def rows_alpha(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     for name in (*cat.RESIDUAL, "cross-7"):
         c = build(name).complex
@@ -281,7 +283,7 @@ def rows_alpha(seed: int, build) -> list[CheckRow]:
     return rows
 
 
-def rows_sequences(seed: int, build) -> list[CheckRow]:
+def rows_sequences(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     monotone = all(
         seqs.macaulay_upper(a, i) <= seqs.macaulay_upper(a + 1, i)
@@ -306,7 +308,7 @@ def rows_sequences(seed: int, build) -> list[CheckRow]:
     return rows
 
 
-def rows_s24(seed: int, build) -> list[CheckRow]:
+def rows_s24(seed: int, build, socle) -> list[CheckRow]:
     rows = []
     for name in cat.S24:
         c = build(name).complex
@@ -324,8 +326,8 @@ def rows_s24(seed: int, build) -> list[CheckRow]:
     return rows
 
 
-def rows_counterexample_level(u: int, k: int, seed: int) -> list[CheckRow]:
-    rep = cat.verify_counterexample_level(u, k, seed=seed)
+def rows_counterexample_level(seed: int, build, socle, u: int, k: int) -> list[CheckRow]:
+    rep = cat.verify_counterexample_level(u, k)
     rows = [
         CheckRow("counterexample-level-formula", rep.name, _fmt(list(rep.g)),
                  _fmt(list(rep.formula)), rep.formula_matches),
@@ -334,13 +336,14 @@ def rows_counterexample_level(u: int, k: int, seed: int) -> list[CheckRow]:
                  f"g_1={rep.g1}, g_{u - 1}={rep.g_top_minus1}", "not level",
                  not rep.level_verdict.holds, note=rep.level_verdict.detail),
     ]
-    if rep.socle is not None:
-        rows.append(CheckRow("counterexample-level-socle", rep.name, _fmt(list(rep.socle)),
-                             f"nonzero below degree {u}", bool(rep.socle_nonzero_below_top)))
+    if u <= 4:  # desk-scale cap on the socle
+        soc = socle(rep.complex)
+        rows.append(CheckRow("counterexample-level-socle", rep.name, _fmt(soc),
+                             f"nonzero below degree {u}", not st.is_level(soc, u).holds))
     return rows
 
 
-def rows_counterexample_support(m: int, seed: int) -> list[CheckRow]:
+def rows_counterexample_support(seed: int, build, socle, m: int) -> list[CheckRow]:
     rep = cat.verify_counterexample_support(m)
     name = rep.name
     return [
@@ -369,19 +372,22 @@ FAMILIES = {
 }
 
 
+# ``run_families`` takes each counterexample as its key here followed by
+# its parameters: ("level", u, k) or ("support", m).
+COUNTEREXAMPLES = {
+    "level": rows_counterexample_level,
+    "support": rows_counterexample_support,
+}
+
+
 def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
-    report = VerificationReport(title="+".join(list(families) + [
-        f"counterexample-{c[0]}" for c in counterexamples]))
+    runs = [(fam, FAMILIES[fam], ()) for fam in families] + [
+        (f"counterexample-{ce[0]}", COUNTEREXAMPLES[ce[0]], ce[1:]) for ce in counterexamples]
+    report = VerificationReport(title="+".join(name for name, _, _ in runs))
     build = functools.cache(cat.build)
-    for fam in families:
-        _timed(report, fam, FAMILIES[fam], seed, build)
-    for ce in counterexamples:
-        if ce[0] == "level":
-            _timed(report, "counterexample-level", rows_counterexample_level,
-                   ce[1], ce[2], seed)
-        else:
-            _timed(report, "counterexample-support", rows_counterexample_support,
-                   ce[1], seed)
+    socle = functools.cache(lambda c: st.socle_dims(c, st.generic_embedding(c, seed)))
+    for name, rows, params in runs:
+        _timed(report, name, rows, seed, build, socle, *params)
     # report order is fixed by statement id (then target), independent of
     # the order the checks were produced in
     report.checks.sort(key=lambda r: (r.check_id, r.target))

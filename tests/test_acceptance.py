@@ -78,26 +78,27 @@ def test_criterion_04_stress_dimensions():
 
 
 def test_criterion_05_socle_and_level():
+    socles = {}
     for name in RESIDUAL_NAMES:
         c = ss.build(name).complex
         d = c.dim + 1
-        soc = ss.socle_dims(c, ss.generic_embedding(c, SEED))
+        soc = socles[name] = ss.socle_dims(c, ss.generic_embedding(c, SEED))
         counts = ss.missing_face_counts(c)
         for k in range((d - 1) // 2):
             assert soc[k] == counts.get(d - k, 0), (name, k)
-    k24 = ss.build("K-2-4").complex
-    assert ss.is_level(k24, ss.generic_embedding(k24, SEED), 2).holds
+    assert ss.is_level(socles["K-2-4"], 2).holds
     _report(5, "socle dims equal missing-face counts below the middle degree; "
                "the 8-vertex minimizer is level up to degree 2")
 
 
 def test_criterion_06_level_counterexample():
-    rep = ss.verify_counterexample_level(3, 1, seed=SEED)
+    rep = ss.verify_counterexample_level(3, 1)
     assert rep.g == (1, 2, 3, 1) == rep.formula
     assert rep.g_top == 1
     assert (rep.g1, rep.g_top_minus1) == (2, 3)
     assert not rep.level_verdict.holds
-    assert rep.socle_nonzero_below_top
+    socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, SEED))
+    assert not ss.is_level(socle, 3).holds  # nonzero below degree u = 3
     _report(6, "g of the 9-vertex join sphere is (1,2,3,1), matches the band "
                "formula, ends in 1, and fails the level test via asymmetry")
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import spherestress as ss
+from spherestress import verify as ver
 
 
 class TestBuildK:
@@ -107,9 +108,10 @@ class TestLevelCounterexample:
         assert rep.formula_matches and rep.g_top == 1
         assert (rep.g1, rep.g_top_minus1) == (2, 3)
         assert not rep.level_verdict.holds
-        assert rep.socle == (0, 0, 1, 1)
-        assert rep.socle_nonzero_below_top
         assert rep.reproduced
+        socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, 7))
+        assert socle == [0, 0, 1, 1]
+        assert not ss.is_level(socle, 3).holds
 
     def test_u4_k1(self):
         rep = ss.verify_counterexample_level(4, 1)
@@ -122,8 +124,10 @@ class TestLevelCounterexample:
         assert ss.corollary_level_g_check(list(rep.g), 2).holds
 
     def test_socle_skipped_above_limit(self):
-        rep = ss.verify_counterexample_level(6, 2)
-        assert rep.socle is None and rep.reproduced
+        assert ss.verify_counterexample_level(6, 2).reproduced
+        report = ver.run_families([], 7, [("level", 6, 2)])
+        assert report.ok
+        assert "counterexample-level-socle" not in {r.check_id for r in report.checks}
 
     def test_gates(self):
         with pytest.raises(ValueError):

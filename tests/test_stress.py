@@ -190,20 +190,22 @@ class TestSocleAndLevel:
     def test_is_level(self):
         k24 = build("K-2-4")
         e = ss.generic_embedding(k24.complex, 3)
-        assert ss.is_level(k24.complex, e, 2).holds
+        assert ss.is_level(ss.socle_dims(k24.complex, e), 2).holds
         k25 = build("K-2-5")
         e25 = ss.generic_embedding(k25.complex, 3)
-        verdict = ss.is_level(k25.complex, e25, 3)
+        verdict = ss.is_level(ss.socle_dims(k25.complex, e25), 3)
         assert not verdict.holds and verdict.failing_index == 2
 
     def test_is_level_trivial_cut(self):
         b4 = ss.boundary_simplex(4)
-        assert ss.is_level(b4, ss.generic_embedding(b4, 1), 0).holds
+        assert ss.is_level(ss.socle_dims(b4, ss.generic_embedding(b4, 1)), 0).holds
 
     def test_is_level_range(self):
         c = build("octahedron").complex
+        soc = ss.socle_dims(c, ss.generic_embedding(c, 1))  # degrees 0..1
+        assert ss.is_level(soc, 1).holds
         with pytest.raises(ValueError):
-            ss.is_level(c, ss.generic_embedding(c, 1), 3)
+            ss.is_level(soc, 2)
 
 
 class TestStarWitness:

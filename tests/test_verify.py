@@ -1,14 +1,17 @@
 """What the verify families share within one ``verify.run_families``
 call: each catalog sphere is built once, so every family reads the same
 complex objects and their memoized faces, missing faces and homology
-verdict."""
+verdict, and each socle is computed once, for the families and the
+counterexamples alike."""
 
 import functools
+import json
 from collections import Counter
 
 import pytest
 
 from spherestress import catalog as cat
+from spherestress import cli
 from spherestress import complex_core as cc
 from spherestress import linalg
 from spherestress import stress as st
@@ -54,9 +57,9 @@ def calls(made, monkeypatch):
     return counter
 
 
-# the socle family's socles: one per residual sphere, and K-2-4's again
-# for the level row
-SOCLE_CALLS = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 2})
+# the socle family's socles: one per residual sphere, K-2-4's shared
+# with the level row
+SOCLE_CALLS = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 1})
 
 
 def socle_rows(report):
@@ -153,8 +156,44 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     monkeypatch.setattr(linalg, "modp_rank", modp_rank)
-    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build)))
+    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build), None))
     facets = {name: len(cat.build(name).complex.facets) for name in SHRUNK}
     assert minors == Counter({(name, seed): n for name, n in facets.items()
                               for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
                              ) + Counter({("octahedron", None): facets["octahedron"]})
+
+
+def test_oracle_run_numbers_each_complex_once(monkeypatch):
+    # the level counterexample's K-2-5, built from its parameters, shares
+    # the socle family's socle, and K-2-4's level row shares its own; the
+    # only eliminations over Q left are K-2-5's degree-2 socle and the
+    # support counterexample's exported basis
+    numbered, eliminations = Counter(), []
+    real_numbers, real_kernel = st.stress_numbers, linalg.kernel_basis
+
+    def stress_numbers(c, e):
+        numbered[(c, e.seed)] += 1
+        return real_numbers(c, e)
+
+    def kernel_basis(rows, columns):
+        eliminations.append(len(columns))
+        return real_kernel(rows, columns)
+
+    monkeypatch.setattr(st, "stress_numbers", stress_numbers)
+    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
+    report = ver.run_families(list(ver.FAMILIES), SEED, [("level", 3, 1), ("support", 1)])
+    assert report.ok
+    assert numbered and max(numbered.values()) == 1
+    assert len(eliminations) == 2
+
+
+@pytest.mark.parametrize("u, k, socle", [(3, 1, "[0, 0, 1, 1]"), (4, 1, "[0, 0, 0, 1, 1]"),
+                                         (5, 1, None), (6, 2, None)])
+def test_level_counterexample_alone_keeps_its_socle_row(capsys, u, k, socle):
+    # the socle row reads the run's socle even without the socle family,
+    # and is skipped above u = 4
+    argv = ["verify", "--counterexample", "level", "--u", str(u), "--k", str(k), "--json"]
+    assert cli.main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    rows = [(c["lhs"], c["holds"]) for c in checks if c["id"] == "counterexample-level-socle"]
+    assert rows == ([(socle, True)] if socle else [])
