@@ -9,19 +9,30 @@ bases, span membership (an empty ``SparseRREF.reduce`` residual) and
 the mod-p rank certificates below all go through it.  GF(2) has its
 own bit-mask loop, ``gf2_pivots``; ``gf2_rank`` counts its pivots.
 
-Certificates mod p.  ``modp_rank`` maps each rational entry a/b to
-a * b^-1 mod PRIME (p = 2^61 - 1) and eliminates over GF(p); it is the
-one rational-to-GF(p) conversion, and ``modp_kernel`` goes through it.
-When no denominator vanishes mod p, every row can be scaled by a unit to
-an integer row, and a nonzero minor mod p is a nonzero integer minor, so
-rank_p <= rank_Q and the kernel mod p is at least as long as the kernel
-over Q.  This module computes both and accepts neither.  The
-stress module (``stress._stresses``) pairs the length of a kernel mod p
-with a lower bound from theory, 0 or g_k, and keeps it when the two
-meet; in every other case (a denominator divisible by p, or a kernel
-mod p longer than the bound) the answer comes from ``kernel_basis``, a
-plain elimination over Q.  Over Q and GF(p) alike, ``SparseRREF.kernel``
-reads the canonical kernel basis off the free columns.
+Certificates mod p.  ``to_modp`` is the one rational-to-GF(p)
+conversion: it maps each entry a/b of sparse rational rows to
+a * b^-1 mod PRIME (p = 2^61 - 1), and refuses (returns None) when some
+denominator is divisible by p.  ``modp_rank`` and ``modp_kernel`` take
+rows that are already in GF(p).  A caller converts its data once, where
+the denominators first appear, and builds its matrices mod p from the
+converted values.  This is sound for any p: if every a/b of the data
+has p not dividing b, every entry of a matrix built from the data by
+integer polynomials is p-integral, and reduction mod p is a ring map on
+p-integral rationals, so the matrix built from the converted values is
+the entrywise reduction of the rational matrix.  Scaling each rational
+row by the product of its denominators, a unit mod p, gives an integer
+matrix of the same rank over Q whose reduction has the same rank mod p,
+and a nonzero minor mod p of it is a nonzero integer minor: so
+rank_p <= rank_Q, and the kernel mod p is at least as long as the
+kernel over Q.  This module computes both and accepts neither.  The
+stress module converts each embedding's coordinate forms once
+(``stress.StressSpaces``) and pairs the length of a kernel mod p with a
+lower bound from theory, 0 or g_k, keeping it when the two meet
+(``stress._stresses``); in every other case (a refused conversion, or a
+kernel mod p longer than the bound) the answer comes from
+``kernel_basis``, a plain elimination over Q.  Over Q and GF(p) alike,
+``SparseRREF.kernel`` reads the canonical kernel basis off the free
+columns.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from fractions import Fraction
 
 QQ = Fraction  # the rational type; the benchmark reports it by this name
 
-PRIME = 2 ** 61 - 1  # a Mersenne prime; read at call time by modp_rank
+PRIME = 2 ** 61 - 1  # a Mersenne prime; read at call time by to_modp and modp_rank
 
 
 class SparseRREF:
@@ -153,19 +164,14 @@ def rank_of(vectors) -> int:
     return rr.rank
 
 
-def modp_rank(rows, rr=None):
-    """Rank over GF(PRIME) of an iterable of sparse rational rows, a
-    proven lower bound on their rank over Q; None (no certificate) when
-    some denominator is divisible by PRIME.
-
-    This is the one rational-to-GF(p) conversion: each entry a/b becomes
-    a * b^-1 mod p.  A caller that wants more than the rank passes its
-    own ``rr``, a ``SparseRREF`` over GF(PRIME), and reads it afterwards.
-    """
-    if rr is None:
-        rr = SparseRREF(modulus=PRIME)
-    p = rr.modulus
+def to_modp(rows) -> list[dict] | None:
+    """The entrywise images in GF(PRIME) of an iterable of sparse
+    rational rows, each a/b as a * b^-1 mod PRIME and entries that
+    vanish mod PRIME dropped; None when some denominator is divisible by
+    PRIME.  This is the one rational-to-GF(p) conversion."""
+    p = PRIME
     inverses: dict = {}
+    out = []
     for row in rows:
         vec = {}
         for c, x in row.items():
@@ -174,20 +180,36 @@ def modp_rank(rows, rr=None):
             if inv is None:
                 if not den % p:
                     return None
-                inv = inverses[den] = pow(den % p, -1, p)
-            vec[c] = x.numerator * inv % p
-        rr.insert(vec)
+                inv = inverses[den] = pow(den, -1, p)
+            y = x.numerator * inv % p
+            if y:
+                vec[c] = y
+        out.append(vec)
+    return out
+
+
+def modp_rank(rows, rr=None) -> int:
+    """Rank over GF(PRIME) of an iterable of rows over GF(PRIME) (ints in
+    [0, PRIME)).  When the rows are the reduction of rational rows (see
+    ``to_modp``), it is a proven lower bound on their rank over Q.
+
+    A caller that wants more than the rank passes its own ``rr``, a
+    ``SparseRREF`` over GF(PRIME), and reads it afterwards.
+    """
+    if rr is None:
+        rr = SparseRREF(modulus=PRIME)
+    for row in rows:
+        rr.insert(row)
     return rr.rank
 
 
-def modp_kernel(rows, columns) -> list[dict] | None:
-    """Canonical kernel basis over GF(PRIME) of the rational ``rows``
-    over ``columns``, as ``kernel_basis`` reads it off over Q; None when
-    some denominator is divisible by PRIME.  Its length is an upper
-    bound on the dimension of the kernel over Q."""
+def modp_kernel(rows, columns) -> list[dict]:
+    """Canonical kernel basis over GF(PRIME) of ``rows`` over GF(PRIME)
+    over ``columns``, as ``kernel_basis`` reads it off over Q.  When the
+    rows are the reduction of rational rows, its length is an upper
+    bound on the dimension of their kernel over Q."""
     rr = SparseRREF(modulus=PRIME)
-    if modp_rank(rows, rr) is None:
-        return None
+    modp_rank(rows, rr)
     return rr.kernel(columns)
 
 

@@ -29,7 +29,24 @@ the derivative spans from below, which settles a zero socle (see
 ``stress_numbers``).  Anything else (a non-sphere, a singular facet
 minor, a denominator divisible by p, a kernel mod p longer than the
 bound, a nonzero socle under a nonzero space) is computed by exact
-elimination over Q.  The exported bases (``stress_space``,
+elimination over Q.
+
+Each embedding's coordinates are converted mod p once, where their
+denominators are: ``_modp_forms`` passes the theta forms through
+``linalg.to_modp``, which refuses the embedding when a denominator is
+divisible by p.  The facet minors of the l.s.o.p. test and the operator
+rows mod p are built from the converted values (an entry mult * a is
+mult * a_p mod p), and the rows over Q only on the fallback.  This is
+sound for any p: a coordinate a/b with p not dividing b makes every
+entry mult * a/b p-integral, reduction mod p is a ring map on those
+entries, so the rows built mod p are the reduction of the rows over Q.
+Every vertex meets some column, so refusing a coordinate is at least as
+strict as refusing an entry.  ``StressSpaces`` holds one embedding's
+converted forms, its lower bound and its stresses by degree, each
+computed at most once; ``stress_dims`` and ``stress_numbers`` read a
+fresh one, and ``verify`` keeps one per complex for a whole run.
+
+The exported bases (``stress_space``,
 ``cone_lift_check``, the support counterexample) are always exact
 kernels over Q: with no lower bound, a kernel mod p is kept only when
 it is empty.
@@ -46,6 +63,7 @@ disagreement raises DegenerateEmbeddingError.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,15 +286,17 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int) -> StressBasis:
     if k < 1:
         raise ValueError("stress spaces are computed for degree k >= 1")
     # with no lower bound only an empty kernel mod p is kept, and it is exact
-    terms, _ = _stresses(c, e, k, None)
+    terms, _ = _stresses(c, e, k, None, _modp_forms(e))
     return StressBasis(c, e, k, tuple(StressPolynomial(k, t) for t in terms))
 
 
-def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, Fraction]]:
+def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None) -> list[dict]:
     """Rows of the stacked operator matrix over the columns ``cols``: one
-    per (linear form, degree-(k-1) monomial) pair that some column hits."""
-    forms = theta_forms(e)
-    rows: dict[tuple[int, Monomial], dict[int, Fraction]] = {}
+    per (linear form, degree-(k-1) monomial) pair that some column hits.
+    The ``forms`` are ``theta_forms`` over Q, or their images mod ``p``
+    (see ``_modp_forms``), and the entries mult * a are then reduced mod
+    ``p``: the entrywise reduction of the rows over Q."""
+    rows: dict[tuple[int, Monomial], dict] = {}
     for ci, mu in enumerate(cols):
         for v, mult in _multiplicities(mu):
             nu = _remove_one(mu, v)
@@ -284,29 +304,48 @@ def _operator_rows(e: Embedding, cols: list[Monomial]) -> list[dict[int, Fractio
                 a = form.get(v)
                 if not a:
                     continue
+                if mult > 1:
+                    a *= mult
+                    if p is not None:
+                        a %= p
+                        if not a:
+                            continue
                 # column ci meets row (j, nu) only through v = mu - nu
-                rows.setdefault((j, nu), {})[ci] = a if mult == 1 else mult * a
+                rows.setdefault((j, nu), {})[ci] = a
     return list(rows.values())
 
 
-def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding) -> list[int] | None:
+def _modp_forms(e: Embedding) -> list[dict[int, int]] | None:
+    """``theta_forms(e)`` converted to GF(PRIME) by ``linalg.to_modp``,
+    None when a coordinate's denominator is divisible by PRIME.  Every
+    vertex meets some operator column, so refusing a coordinate is at
+    least as strict as refusing an entry of the operator rows over Q."""
+    return linalg.to_modp(theta_forms(e))
+
+
+def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding,
+                      forms_p: list[dict] | None) -> list[int] | None:
     """The h-vector of ``c`` when the stress dimensions of ``e`` are
-    bounded below by it, None otherwise.
+    bounded below by it, None otherwise; ``forms_p`` is
+    ``_modp_forms(e)``.
 
     The bound needs ``c`` pure and a GF(2)-homology sphere, hence a
     Q-homology sphere whose face ring is Cohen-Macaulay (Reisner 1976),
     and the d coordinate forms of ``e`` an l.s.o.p.: every facet's d x d
     coordinate matrix nonsingular (Kind-Kleinschmidt 1979), checked here
-    as a rank mod p, which is at most the rank over Q.  Then A =
-    Q[c]/(theta) has dim A_k = h_k (Stanley 1996), and the degree-k
-    affine stresses, dual to A_k / omega A_{k-1} (Lee 1996), have
-    dimension at least h_k - h_{k-1}.
+    as a rank mod p of its reduction, which is at most the rank over Q.
+    Then A = Q[c]/(theta) has dim A_k = h_k (Stanley 1996), and the
+    degree-k affine stresses, dual to A_k / omega A_{k-1} (Lee 1996),
+    have dimension at least h_k - h_{k-1}.
     """
     d = c.dim + 1
-    if e.d != d or not c.is_pure() or not is_z2_homology_sphere(c):
+    if (forms_p is None or e.d != d or not c.is_pure()
+            or not is_z2_homology_sphere(c)):
         return None
+    coordinate_forms = forms_p[:d]
     for f in c.facets:
-        minor = [{j: x for j, x in enumerate(e.coords[v]) if x} for v in f]
+        minor = [{j: form[v] for j, form in enumerate(coordinate_forms) if v in form}
+                 for v in f]
         if linalg.modp_rank(minor) != d:
             return None
     return h_vector(c)
@@ -321,34 +360,91 @@ def _dim_lower_bound(h: list[int] | None, k: int) -> int:
     return max(hk - below, 0)
 
 
-def _stresses(c: SimplicialComplex, e: Embedding, k: int,
-              h: list[int] | None, exact: bool = False) -> tuple[list[dict], bool]:
+def _kernel_terms(cols: list[Monomial], kernel: list[dict]) -> list[dict]:
+    return [{cols[ci]: x for ci, x in sorted(vec.items())} for vec in kernel]
+
+
+def _exact_stresses(e: Embedding, cols: list[Monomial]) -> list[dict]:
+    """The stresses over the columns ``cols`` as an exact kernel over Q."""
+    rows = _operator_rows(theta_forms(e), cols)
+    return _kernel_terms(cols, linalg.kernel_basis(rows, range(len(cols))))
+
+
+def _stresses(c: SimplicialComplex, e: Embedding, k: int, h: list[int] | None,
+              forms_p: list[dict] | None) -> tuple[list[dict], bool]:
     """The degree-k stresses of ``e`` as term dicts in graded-lex order,
     and whether they are a kernel over Q rather than mod p.
 
-    The operator rows are built once and their kernel mod p taken; it is
-    at least as long as the kernel over Q.  When its length meets the
-    proven lower bound ``_dim_lower_bound(h, k)``, it is kept: its length
-    is the dimension, and an empty one is also the kernel over Q.
-    Otherwise, or with ``exact``, which skips the kernel mod p, the
-    exact kernel over Q is returned.  This is the one place a kernel mod
-    p is accepted."""
+    The operator rows are built mod p from ``forms_p`` (``_modp_forms(e)``)
+    and their kernel mod p taken; it is at least as long as the kernel
+    over Q.  When its length meets the proven lower bound
+    ``_dim_lower_bound(h, k)``, it is kept: its length is the dimension,
+    and an empty one is also the kernel over Q.  Otherwise, or when
+    ``forms_p`` is None, the rows are built over Q and their exact
+    kernel is returned.  This is the one place a kernel mod p is
+    accepted."""
     cols = face_monomials(c, k)
-    rows = _operator_rows(e, cols)
-    kernel = None if exact else linalg.modp_kernel(rows, range(len(cols)))
-    over_q = kernel is None or len(kernel) != _dim_lower_bound(h, k)
-    if over_q:
-        kernel = linalg.kernel_basis(rows, range(len(cols)))
-    return [{cols[ci]: x for ci, x in sorted(vec.items())} for vec in kernel], over_q
+    if forms_p is not None:
+        rows = _operator_rows(forms_p, cols, linalg.PRIME)
+        kernel = linalg.modp_kernel(rows, range(len(cols)))
+        if len(kernel) == _dim_lower_bound(h, k):
+            return _kernel_terms(cols, kernel), False
+    return _exact_stresses(e, cols), True
+
+
+class StressSpaces:
+    """The stress spaces of one embedded complex, each computed at most
+    once: the embedding's forms are converted mod p once (``forms_p``),
+    the lower bound of ``_cohen_macaulay_h`` is checked once (``h``),
+    ``_stresses`` runs at most once per degree, and the socle once
+    (``numbers``).  ``stress_dims`` and ``stress_numbers`` read a fresh
+    one; a caller that asks one embedding for several things keeps its
+    own."""
+
+    def __init__(self, c: SimplicialComplex, e: Embedding):
+        self.complex = c
+        self.embedding = e
+        self.forms_p = _modp_forms(e)
+        self.h = _cohen_macaulay_h(c, e, self.forms_p)
+        self._by_degree: dict[int, tuple[list[dict], bool]] = {}
+
+    def stresses(self, k: int) -> tuple[list[dict], bool]:
+        """``_stresses`` in degree k >= 1, computed on the first request."""
+        if k not in self._by_degree:
+            self._by_degree[k] = _stresses(self.complex, self.embedding, k, self.h,
+                                           self.forms_p)
+        return self._by_degree[k]
+
+    def dims(self, degrees) -> list[int]:
+        """The stress dimension in each of ``degrees``."""
+        # degree 0 holds the constants, so derivative chains terminate cleanly
+        return [len(self.stresses(k)[0]) if k else 1 for k in degrees]
+
+    @functools.cached_property
+    def numbers(self) -> tuple[list[int], list[int]]:
+        """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
+        vector in degrees 0..floor(d/2); see ``stress_numbers``."""
+        half = (self.complex.dim + 1) // 2
+        dims = self.dims(range(half + 2))
+        socle = []
+        for k in range(half + 1):
+            terms, over_q = self.stresses(k + 1)
+            if not terms:
+                socle.append(dims[k])
+            elif not over_q and linalg.modp_rank(
+                    _derivatives(terms, linalg.PRIME)) == dims[k]:
+                socle.append(0)
+            else:
+                if not over_q:  # kept mod p, but its derivatives fall short
+                    terms = _exact_stresses(self.embedding, face_monomials(self.complex, k + 1))
+                socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
+        return dims, socle
 
 
 def stress_dims(c: SimplicialComplex, e: Embedding, degrees) -> list[int]:
     """Dimension of the degree-k stress space for each k in ``degrees``,
-    certified mod p where ``_stresses`` can.  The lower bound of
-    ``_cohen_macaulay_h`` is checked once per call, for all degrees."""
-    h = _cohen_macaulay_h(c, e)
-    # degree 0 holds the constants, so derivative chains terminate cleanly
-    return [len(_stresses(c, e, k, h)[0]) if k else 1 for k in degrees]
+    certified mod p where ``_stresses`` can (``StressSpaces.dims``)."""
+    return StressSpaces(c, e).dims(degrees)
 
 
 def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
@@ -376,16 +472,20 @@ def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
 # Derivative spans, socle, level test
 # ---------------------------------------------------------------------------
 
-def _derivatives(polys) -> list[dict]:
-    """Every nonzero d/dx_v P for P in ``polys`` (term dicts, rational or
-    mod p) and v a vertex.  A term mu of P reaches only the term mu - v
-    of d/dx_v P, so no coefficient cancels."""
+def _derivatives(polys, p: int | None = None) -> list[dict]:
+    """Every nonzero d/dx_v P for P in ``polys`` (term dicts, rational,
+    or mod ``p`` and then reduced mod ``p``) and v a vertex.  A term mu
+    of P reaches only the term mu - v of d/dx_v P, so no coefficient
+    cancels over Q."""
     out = []
     for terms in polys:
         by_vertex: dict[int, dict] = {}
         for mu, coef in terms.items():
             for v, mult in _multiplicities(mu):
-                by_vertex.setdefault(v, {})[_remove_one(mu, v)] = coef * mult
+                x = coef * mult
+                if p is not None:
+                    x %= p
+                by_vertex.setdefault(v, {})[_remove_one(mu, v)] = x
         out.extend(by_vertex.values())
     return out
 
@@ -406,7 +506,8 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
 
 def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[int]]:
     """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
-    vector in degrees 0..floor(d/2); only the integers are returned.
+    vector in degrees 0..floor(d/2); only the integers are returned
+    (``StressSpaces.numbers``).
 
     The socle in degree k is the degree-k dimension minus the rank of
     the derivatives of the degree-(k+1) stresses (the socle of the
@@ -415,24 +516,10 @@ def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[
     that ``_stresses`` kept mod p is the reduction of the p-integral
     stresses over Q, so the rank mod p of its derivatives is at most
     their rank over Q: reaching the degree-k dimension proves the
-    degree-k socle 0.  Every other socle is computed over Q.
+    degree-k socle 0.  Every other socle is computed over Q, from the
+    degree-(k+1) rows eliminated over Q.
     """
-    half = (c.dim + 1) // 2
-    h = _cohen_macaulay_h(c, e)
-    spaces = {k: _stresses(c, e, k, h) for k in range(1, half + 2)}
-    dims = [1] + [len(spaces[k][0]) for k in range(1, half + 2)]
-    socle = []
-    for k in range(half + 1):
-        terms, over_q = spaces[k + 1]
-        if not terms:
-            socle.append(dims[k])
-        elif not over_q and linalg.modp_rank(_derivatives(terms)) == dims[k]:
-            socle.append(0)
-        else:
-            if not over_q:  # kept mod p, but its derivatives fall short
-                terms, _ = _stresses(c, e, k + 1, h, exact=True)
-            socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
-    return dims, socle
+    return StressSpaces(c, e).numbers
 
 
 def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:

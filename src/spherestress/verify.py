@@ -4,7 +4,8 @@ Every check row carries a statement id; the EXPLAIN table maps each id
 to the identity or inequality it tests, so failures are
 self-documenting.  Rows marked as probes record conjectural or purely
 diagnostic quantities and never affect the exit status.  A run builds
-each catalog sphere and computes each socle once (see ``run_families``).
+each catalog sphere once and computes each stress space of its seed's
+generic embedding at most once (see ``run_families``).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ EXPLAIN: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRow:
     check_id: str
     target: str
@@ -156,10 +157,12 @@ def _timed(report: VerificationReport, name: str, fn, *args):
 # Every family and counterexample takes the run's seed, its ``build``
 # (``catalog.build`` cached for one ``run_families`` call, so all read
 # the same sphere objects and share what each complex memoizes) and its
-# ``socle`` (``stress.socle_dims`` under the seed's generic embedding,
-# cached for the run by the complex's value), then its own parameters.
+# ``spaces`` (a ``stress.StressSpaces`` under the seed's generic
+# embedding, cached for the run by the complex's value, so the stress
+# family's first seed and every socle share its stresses by degree),
+# then its own parameters.
 
-def rows_enumeration(seed: int, build, socle) -> list[CheckRow]:
+def rows_enumeration(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for d in range(2, 9):
         h = h_from_f(f_vector(build(f"boundary-simplex-{d}").complex), d)
@@ -201,14 +204,14 @@ def rows_enumeration(seed: int, build, socle) -> list[CheckRow]:
     return rows
 
 
-def rows_stress(seed: int, build, socle) -> list[CheckRow]:
+def rows_stress(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for name in cat.RESIDUAL:
         c = build(name).complex
         d = c.dim + 1
         g = g_vector(c)
         degrees = range(d // 2 + 1)
-        dims = st.stress_dims(c, st.generic_embedding(c, seed), degrees)
+        dims = spaces(c).dims(degrees)
         second = st.stress_dims(c, st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET),
                                 degrees)
         for k in degrees[1:]:
@@ -234,12 +237,12 @@ def rows_stress(seed: int, build, socle) -> list[CheckRow]:
     return rows
 
 
-def rows_socle(seed: int, build, socle) -> list[CheckRow]:
+def rows_socle(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for name in cat.RESIDUAL:
         c = build(name).complex
         d = c.dim + 1
-        soc = socle(c)
+        soc = spaces(c).numbers[1]
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
             m = counts.get(d - k, 0)
@@ -251,13 +254,13 @@ def rows_socle(seed: int, build, socle) -> list[CheckRow]:
                 rows.append(CheckRow("socle-middle-at-least-missing-count",
                                      f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
                                      soc[k] >= m))
-    verdict = st.is_level(socle(build("K-2-4").complex), 2)
+    verdict = st.is_level(spaces(build("K-2-4").complex).numbers[1], 2)
     rows.append(CheckRow("level-up-to-socle-degree", "K-2-4[up_to=2]",
                          str(verdict.holds), "True", verdict.holds, note=verdict.detail))
     return rows
 
 
-def rows_alpha(seed: int, build, socle) -> list[CheckRow]:
+def rows_alpha(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for name in (*cat.RESIDUAL, "cross-7"):
         c = build(name).complex
@@ -283,7 +286,7 @@ def rows_alpha(seed: int, build, socle) -> list[CheckRow]:
     return rows
 
 
-def rows_sequences(seed: int, build, socle) -> list[CheckRow]:
+def rows_sequences(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     monotone = all(
         seqs.macaulay_upper(a, i) <= seqs.macaulay_upper(a + 1, i)
@@ -308,7 +311,7 @@ def rows_sequences(seed: int, build, socle) -> list[CheckRow]:
     return rows
 
 
-def rows_s24(seed: int, build, socle) -> list[CheckRow]:
+def rows_s24(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for name in cat.S24:
         c = build(name).complex
@@ -326,7 +329,7 @@ def rows_s24(seed: int, build, socle) -> list[CheckRow]:
     return rows
 
 
-def rows_counterexample_level(seed: int, build, socle, u: int, k: int) -> list[CheckRow]:
+def rows_counterexample_level(seed: int, build, spaces, u: int, k: int) -> list[CheckRow]:
     rep = cat.verify_counterexample_level(u, k)
     rows = [
         CheckRow("counterexample-level-formula", rep.name, _fmt(list(rep.g)),
@@ -337,13 +340,13 @@ def rows_counterexample_level(seed: int, build, socle, u: int, k: int) -> list[C
                  not rep.level_verdict.holds, note=rep.level_verdict.detail),
     ]
     if u <= 4:  # desk-scale cap on the socle
-        soc = socle(rep.complex)
+        soc = spaces(rep.complex).numbers[1]
         rows.append(CheckRow("counterexample-level-socle", rep.name, _fmt(soc),
                              f"nonzero below degree {u}", not st.is_level(soc, u).holds))
     return rows
 
 
-def rows_counterexample_support(seed: int, build, socle, m: int) -> list[CheckRow]:
+def rows_counterexample_support(seed: int, build, spaces, m: int) -> list[CheckRow]:
     rep = cat.verify_counterexample_support(m)
     name = rep.name
     return [
@@ -385,9 +388,9 @@ def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
         (f"counterexample-{ce[0]}", COUNTEREXAMPLES[ce[0]], ce[1:]) for ce in counterexamples]
     report = VerificationReport(title="+".join(name for name, _, _ in runs))
     build = functools.cache(cat.build)
-    socle = functools.cache(lambda c: st.socle_dims(c, st.generic_embedding(c, seed)))
+    spaces = functools.cache(lambda c: st.StressSpaces(c, st.generic_embedding(c, seed)))
     for name, rows, params in runs:
-        _timed(report, name, rows, seed, build, socle, *params)
+        _timed(report, name, rows, seed, build, spaces, *params)
     # report order is fixed by statement id (then target), independent of
     # the order the checks were produced in
     report.checks.sort(key=lambda r: (r.check_id, r.target))

@@ -16,6 +16,7 @@ from spherestress.linalg import (
     modp_kernel,
     modp_rank,
     rank_of,
+    to_modp,
 )
 
 
@@ -218,7 +219,9 @@ def plain_kernel(rows, columns):
 
 
 def mod_p(vec, p):
-    return {c: x.numerator * pow(x.denominator, -1, p) % p for c, x in vec.items()}
+    """The entrywise reduction of a rational vector, zeros dropped."""
+    out = {c: x.numerator * pow(x.denominator, -1, p) % p for c, x in vec.items()}
+    return {c: x for c, x in out.items() if x}
 
 
 class TestModpCertificates:
@@ -229,12 +232,15 @@ class TestModpCertificates:
         ncols = len(matrix[0]) if matrix else 3
         kernel, rank = plain_kernel(rows, range(ncols))
         assert kernel_basis(rows, range(ncols)) == kernel
-        # the minors of these small matrices are far below PRIME, so the
-        # ranks agree and the canonical kernel mod p is the reduction of
-        # the one over Q, read off by the same SparseRREF.kernel
-        assert modp_rank(rows) == rank
+        # the conversion is the entrywise reduction, and the minors of
+        # these small matrices are far below PRIME, so the ranks agree and
+        # the canonical kernel mod p is the reduction of the one over Q,
+        # read off by the same SparseRREF.kernel
         p = linalg.PRIME
-        assert modp_kernel(rows, range(ncols)) == [mod_p(v, p) for v in kernel]
+        rows_p = to_modp(rows)
+        assert rows_p == [mod_p(r, p) for r in rows]
+        assert modp_rank(rows_p) == rank
+        assert modp_kernel(rows_p, range(ncols)) == [mod_p(v, p) for v in kernel]
 
     def test_kernel_basis_eliminates_over_q_only(self, monkeypatch):
         moduli = []
@@ -247,19 +253,22 @@ class TestModpCertificates:
         monkeypatch.setattr(linalg, "SparseRREF", Recording)
         rows = as_rows([[1, 2], [3, 4], [5, 6]])
         assert kernel_basis(rows, range(2)) == []
-        assert modp_kernel(rows, range(2)) == []
+        assert modp_kernel(to_modp(rows), range(2)) == []
         assert moduli == [None, linalg.PRIME]  # the mod-p check is the caller's
 
     def test_vanishing_denominator_has_no_certificate(self, monkeypatch):
+        # the conversion refuses the rows, so nothing is eliminated mod p
         monkeypatch.setattr(linalg, "PRIME", 3)
         rows = [{0: Fraction(1, 3)}, {1: Fraction(1)}]
-        assert modp_rank(rows) is None
-        assert modp_kernel(rows, range(3)) is None
+        assert to_modp(rows) is None
+        assert to_modp(rows[1:]) == [{1: 1}]
+        assert to_modp([{0: Fraction(3, 2)}]) == [{}]  # 3/2 vanishes mod 3
         assert kernel_basis(rows, range(3)) == [{2: Fraction(1)}]
 
     def test_short_rank_mod_p_falls_back(self, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)
         rows = as_rows([[1, 2], [2, 1]])  # determinant -3
-        assert modp_rank(rows) == 1
-        assert modp_kernel(rows, range(2)) == [{0: 1, 1: 1}]  # only an upper bound
+        rows_p = to_modp(rows)
+        assert modp_rank(rows_p) == 1
+        assert modp_kernel(rows_p, range(2)) == [{0: 1, 1: 1}]  # only an upper bound
         assert kernel_basis(rows, range(2)) == []

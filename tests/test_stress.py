@@ -267,8 +267,9 @@ class TestConeLift:
 
 class TestModpFallback:
     """With the prime forced to 3 the mod-p certificate mostly fails,
-    through a denominator divisible by 3 or a rank that drops mod 3;
-    every answer must still be the exact one."""
+    through a denominator divisible by 3, which refuses the embedding's
+    conversion, or a rank that drops mod 3; every answer must still be
+    the exact one."""
 
     @staticmethod
     def snapshot(c, e):
@@ -291,20 +292,42 @@ class TestModpFallback:
                                   for n in ("octahedron", "K-2-4", "cyclejoin-3-4"))
                  for e in self.embeddings(c)]
         expected = [self.snapshot(c, e) for c, e in cases]
-        outcomes = []
-        modp_rank = linalg.modp_rank
+        converted = []   # one per conversion: did the embedding convert?
+        lengths = []     # (kernel mod p, kernel over Q) of the same rows
+        last = []        # the kernel mod p just taken, as (columns, length)
+        real = {name: getattr(linalg, name)
+                for name in ("to_modp", "modp_rank", "modp_kernel", "kernel_basis")}
 
-        def spy(rows, *args):
-            rows = list(rows)
-            r = modp_rank(rows, *args)
-            outcomes.append((r, linalg.rank_of(rows)))
-            return r
+        def to_modp(rows):
+            out = real["to_modp"](rows)
+            converted.append(out is not None)
+            return out
+
+        def modp_rank(rows, *args):
+            last.clear()  # any other elimination mod p breaks the pairing
+            return real["modp_rank"](rows, *args)
+
+        def modp_kernel(rows, columns):
+            kernel = real["modp_kernel"](rows, columns)
+            last[:] = [(len(columns), len(kernel))]
+            return kernel
+
+        def kernel_basis(rows, columns):
+            # the fallback of a rejected kernel mod p eliminates the same
+            # rows over Q right after it
+            kernel = real["kernel_basis"](rows, columns)
+            if last and last[0][0] == len(columns):
+                lengths.append((last[0][1], len(kernel)))
+            last.clear()
+            return kernel
 
         monkeypatch.setattr(linalg, "PRIME", 3)
-        monkeypatch.setattr(linalg, "modp_rank", spy)
+        for spy in (to_modp, modp_rank, modp_kernel, kernel_basis):
+            monkeypatch.setattr(linalg, spy.__name__, spy)
         assert [self.snapshot(c, e) for c, e in cases] == expected
-        assert any(r is None for r, _ in outcomes)
-        assert any(r is not None and r < exact for r, exact in outcomes)
+        assert not all(converted)
+        assert any(mod_p > exact for mod_p, exact in lengths)
+        assert all(mod_p >= exact for mod_p, exact in lengths)
 
 
 def q_numbers(c, e):
@@ -316,6 +339,16 @@ def q_numbers(c, e):
     socle = [dims[k] - ss.derivative_span_dim(c, e, k, basis_above=spaces[k + 1])
              for k in range(half + 1)]
     return dims, socle
+
+
+def reduced(rows, p):
+    """Rational rows reduced entrywise mod p, zero entries and empty rows
+    dropped, in an order-free form."""
+    out = []
+    for row in rows:
+        r = {c: x.numerator * pow(x.denominator, -1, p) % p for c, x in row.items()}
+        out.append(sorted((c, x) for c, x in r.items() if x))
+    return sorted(r for r in out if r)
 
 
 def torus():
@@ -440,10 +473,11 @@ class TestCohenMacaulayCertificate:
         assert not c.is_pure()
         self.check_falls_back(c, ss.generic_embedding(c, 1), q_path)
 
-    # rp2 is a non-sphere, so the lower bound is 0; K-2-4's denominators
-    # divisible by 3 leave no kernel mod 3; the natural cross-4 has unit
-    # facet minors, so the lower bound g_k holds, but every kernel mod 2
-    # is longer than it
+    # rp2 is a non-sphere, so the lower bound is 0; K-2-4's coordinates
+    # have denominators divisible by 3, so its embedding is refused
+    # before any elimination mod 3; the natural cross-4 has unit facet
+    # minors, so the lower bound g_k holds, but every kernel mod 2 is
+    # longer than it
     @pytest.mark.parametrize("name, prime, natural", [
         ("rp2", None, False), ("K-2-4", 3, False), ("cross-4", 2, True)])
     def test_one_modp_elimination_per_degree(self, name, prime, natural, monkeypatch):
@@ -454,9 +488,11 @@ class TestCohenMacaulayCertificate:
         c = ss.from_facets(RP2) if name == "rp2" else build(name).complex
         e = build(name).natural_coords if natural else ss.generic_embedding(c, 1)
         expected = q_numbers(c, e)
-        h = st._cohen_macaulay_h(c, e)  # its facet minors are ranked mod p too
+        forms_p = st._modp_forms(e)
+        assert (forms_p is None) == (name == "K-2-4")
+        h = st._cohen_macaulay_h(c, e, forms_p)  # its facet minors are ranked mod p too
         assert (h is not None) == natural
-        monkeypatch.setattr(st, "_cohen_macaulay_h", lambda c, e: h)
+        monkeypatch.setattr(st, "_cohen_macaulay_h", lambda c, e, forms_p: h)
         eliminations = []
         real = linalg.modp_rank
 
@@ -465,20 +501,38 @@ class TestCohenMacaulayCertificate:
             return real(rows, rr)
         monkeypatch.setattr(linalg, "modp_rank", modp_rank)
         assert st.stress_numbers(c, e) == expected
-        assert len(eliminations) == len(expected[0]) - 1  # degrees 1..floor(d/2)+1
+        # one per degree 1..floor(d/2)+1, none for a refused embedding
+        assert len(eliminations) == (0 if forms_p is None else len(expected[0]) - 1)
 
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
-                            "K-2-4"]), hs.data())
-    def test_matches_q_path(self, name, data):
+                            "K-2-4"]), hs.sampled_from([2, 3, 2 ** 61 - 1]), hs.data())
+    def test_matches_q_path(self, name, prime, data):
         # coordinates in -2..2 make singular facet minors, degenerate
-        # embeddings and every fallback common
+        # embeddings and every fallback common; their denominators, from a
+        # drawn subset of 1..3, make refused conversions common mod 2 and 3
         c = build(name).complex
         d = c.dim + 1
-        coords = {v: tuple(Fraction(x) for x in data.draw(
-            hs.lists(hs.integers(-2, 2), min_size=d, max_size=d), label=f"vertex {v}"))
-            for v in c.vertices}
+        dens = data.draw(hs.sampled_from([(1,), (1, 2), (1, 3), (1, 2, 3)]), label="dens")
+        coords = {v: tuple(data.draw(hs.lists(
+            hs.builds(Fraction, hs.integers(-2, 2), hs.sampled_from(dens)),
+            min_size=d, max_size=d), label=f"vertex {v}")) for v in c.vertices}
         e = Embedding(coords, d, "natural")
         expected = q_numbers(c, e)
-        assert st.stress_numbers(c, e) == expected
-        assert self.dims(c, e) == expected[0][1:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "PRIME", prime)
+            forms_p = st._modp_forms(e)
+            assert (forms_p is None) == any(
+                x.denominator % prime == 0 for cs in coords.values() for x in cs)
+            # the certificate rows, built from the converted coordinates,
+            # are the entrywise reduction of the rows over Q
+            if forms_p is not None:
+                for k in range(1, d // 2 + 2):
+                    cols = ss.face_monomials(c, k)
+                    rows_p = st._operator_rows(forms_p, cols, prime)
+                    assert all(0 < x < prime for r in rows_p for x in r.values())
+                    assert sorted(sorted(r.items()) for r in rows_p) == \
+                        reduced(st._operator_rows(ss.theta_forms(e), cols), prime)
+            assert st.stress_numbers(c, e) == expected
+            assert self.dims(c, e) == expected[0][1:]
+

@@ -1,7 +1,9 @@
 """What the verify families share within one ``verify.run_families``
 call: each catalog sphere is built once, so every family reads the same
 complex objects and their memoized faces, missing faces and homology
-verdict, and each socle is computed once, for the families and the
+verdict, and each complex has one ``stress.StressSpaces`` under the
+seed's generic embedding, so its lower bound, its stresses in each
+degree and its socle are computed once, for the families and the
 counterexamples alike."""
 
 import functools
@@ -20,7 +22,9 @@ from spherestress import verify as ver
 SOCLE_IDS = {"socle-equals-missing-count", "socle-middle-at-least-missing-count",
              "level-up-to-socle-degree"}
 SEED = 17
+SECOND = SEED + st.SECOND_SEED_OFFSET
 SHRUNK = ("octahedron", "K-2-4")
+HALF = {"octahedron": 1, "K-2-4": 2}  # floor(d/2)
 
 
 @pytest.fixture
@@ -41,25 +45,61 @@ def made(monkeypatch):
     return made
 
 
+def count_socles(monkeypatch, key):
+    """Count the socles computed (``StressSpaces.numbers``), keyed by
+    ``key(spaces)`` and skipped where it returns None."""
+    counter = Counter()
+    real = st.StressSpaces.numbers.func
+
+    def numbers(spaces):
+        k = key(spaces)
+        if k is not None:
+            counter[k] += 1
+        return real(spaces)
+
+    prop = functools.cached_property(numbers)
+    prop.__set_name__(st.StressSpaces, "numbers")
+    monkeypatch.setattr(st.StressSpaces, "numbers", prop)
+    return counter
+
+
 @pytest.fixture
 def calls(made, monkeypatch):
-    """Count the ``stress.stress_numbers`` calls on the shrunken residual
-    catalog's spheres, keyed by (sphere name, embedding seed)."""
-    counter = Counter()
-    real = st.stress_numbers
+    """Count, on the shrunken residual catalog's spheres, the
+    ``_stresses`` calls keyed by (sphere name, embedding seed, degree),
+    the ``_cohen_macaulay_h`` calls keyed by (sphere name, embedding
+    seed) and the socles keyed by (sphere name, embedding seed)."""
+    counters = {"stresses": Counter(), "bounds": Counter()}
+    real_stresses, real_h = st._stresses, st._cohen_macaulay_h
 
-    def stress_numbers(c, e):
-        if id(c) in made:
-            counter[(made[id(c)][1], e.seed)] += 1
-        return real(c, e)
+    def name_of(c):
+        return made[id(c)][1] if id(c) in made else None
 
-    monkeypatch.setattr(st, "stress_numbers", stress_numbers)
-    return counter
+    def stresses(c, e, k, *args):
+        if name_of(c):
+            counters["stresses"][(name_of(c), e.seed, k)] += 1
+        return real_stresses(c, e, k, *args)
+
+    def cohen_macaulay_h(c, e, *args):
+        if name_of(c):
+            counters["bounds"][(name_of(c), e.seed)] += 1
+        return real_h(c, e, *args)
+
+    monkeypatch.setattr(st, "_stresses", stresses)
+    monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
+    counters["socles"] = count_socles(
+        monkeypatch, lambda sp: (name_of(sp.complex), sp.embedding.seed)
+        if name_of(sp.complex) else None)
+    return counters
 
 
 # the socle family's socles: one per residual sphere, K-2-4's shared
 # with the level row
 SOCLE_CALLS = Counter({("octahedron", SEED): 1, ("K-2-4", SEED): 1})
+# the stress family's embeddings: two seeds per sphere and the
+# octahedron's natural coordinates
+EMBEDDINGS = Counter({(name, seed): 1 for name in SHRUNK for seed in (SEED, SECOND)}
+                     ) + Counter({("octahedron", None): 1})
 
 
 def socle_rows(report):
@@ -90,62 +130,65 @@ def test_each_sphere_built_and_numbered_once_per_run(monkeypatch):
     assert numbered and max(numbered.values()) == 1
 
 
-def test_stress_family_ranks_both_seeds(calls, made, monkeypatch):
-    dim_seeds = Counter()
-    real = st.stress_dims
-
-    def stress_dims(c, e, degrees):
-        if id(c) in made:
-            dim_seeds[(made[id(c)][1], e.seed)] += 1
-        return real(c, e, degrees)
-
-    monkeypatch.setattr(st, "stress_dims", stress_dims)
+def test_stress_family_ranks_both_seeds(calls):
+    # the stress family ranks degrees 1..floor(d/2) of each embedding;
+    # the socle family reads the first seed's, adding only the degree
+    # above, so no degree of an embedding is computed twice
     report = ver.run_families(["stress", "socle"], SEED)
     assert report.ok
-    # the stress family ranks each seed once and takes no socle; the
-    # natural embedding of the octahedron is ranked too
-    assert dim_seeds == Counter({(name, seed): 1 for name in SHRUNK
-                                 for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
-                                ) + Counter({("octahedron", None): 1})
-    assert calls == SOCLE_CALLS
+    assert calls["stresses"] == Counter(
+        {(name, seed, k): 1 for name, seed in EMBEDDINGS
+         for k in range(1, HALF[name] + (2 if seed == SEED else 1))})
+    assert max(calls["stresses"].values()) == 1
+    assert calls["bounds"] == EMBEDDINGS
+    assert calls["socles"] == SOCLE_CALLS
 
 
 def test_second_run_recomputes(calls):
     ver.run_families(["stress", "socle"], SEED)
-    first = Counter(calls)
-    calls.clear()
+    first = {name: Counter(c) for name, c in calls.items()}
+    for c in calls.values():
+        c.clear()
     ver.run_families(["stress", "socle"], SEED)
-    assert calls == first == SOCLE_CALLS
+    assert calls == first
+    assert calls["socles"] == SOCLE_CALLS
+    assert calls["bounds"] == EMBEDDINGS
 
 
 def test_socle_alone_matches_combined_run(calls):
     combined = socle_rows(ver.run_families(["stress", "socle"], SEED))
-    calls.clear()
+    for c in calls.values():
+        c.clear()
     alone = socle_rows(ver.run_families(["socle"], SEED))
-    assert calls == SOCLE_CALLS
+    assert calls["socles"] == SOCLE_CALLS
+    assert calls["stresses"] == Counter({(name, SEED, k): 1 for name in SHRUNK
+                                         for k in range(1, HALF[name] + 2)})
     assert alone == combined
     assert len(alone) == 2 + 3 + 1  # octahedron k=0..1, K-2-4 k=0..2, the level row
 
 
 def test_stress_alone_ranks_only(calls):
-    # without the socle family the first seed needs ranks, not socles
+    # without the socle family no embedding needs the degree above
+    # floor(d/2), and no socle is taken
     report = ver.run_families(["stress"], SEED)
     assert report.ok
-    assert calls == Counter()
+    assert calls["socles"] == Counter()
+    assert max(k for name, _, k in calls["stresses"]) == max(HALF.values())
+    assert all(k <= HALF[name] for name, _, k in calls["stresses"])
 
 
 def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
-    # rows_stress ranks all degrees of an embedding in one stress_dims
-    # call, so the l.s.o.p. check ranks each facet minor once per
-    # embedding: two seeds, and the octahedron's natural coordinates
+    # each embedding's lower bound is checked once for all its degrees,
+    # so the l.s.o.p. check ranks each facet minor once per embedding:
+    # two seeds, and the octahedron's natural coordinates
     minors = Counter()
     checking = []  # (sphere name, seed) of the running l.s.o.p. check, or None
     real_h, real_rank = st._cohen_macaulay_h, linalg.modp_rank
 
-    def cohen_macaulay_h(c, e):
+    def cohen_macaulay_h(c, e, *args):
         checking.append((made[id(c)][1], e.seed) if id(c) in made else None)
         try:
-            return real_h(c, e)
+            return real_h(c, e, *args)
         finally:
             checking.pop()
 
@@ -156,7 +199,8 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     monkeypatch.setattr(linalg, "modp_rank", modp_rank)
-    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build), None))
+    spaces = functools.cache(lambda c: st.StressSpaces(c, st.generic_embedding(c, SEED)))
+    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build), spaces))
     facets = {name: len(cat.build(name).complex.facets) for name in SHRUNK}
     assert minors == Counter({(name, seed): n for name, n in facets.items()
                               for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
@@ -168,18 +212,14 @@ def test_oracle_run_numbers_each_complex_once(monkeypatch):
     # the socle family's socle, and K-2-4's level row shares its own; the
     # only eliminations over Q left are K-2-5's degree-2 socle and the
     # support counterexample's exported basis
-    numbered, eliminations = Counter(), []
-    real_numbers, real_kernel = st.stress_numbers, linalg.kernel_basis
-
-    def stress_numbers(c, e):
-        numbered[(c, e.seed)] += 1
-        return real_numbers(c, e)
+    eliminations = []
+    real_kernel = linalg.kernel_basis
+    numbered = count_socles(monkeypatch, lambda sp: (sp.complex, sp.embedding.seed))
 
     def kernel_basis(rows, columns):
         eliminations.append(len(columns))
         return real_kernel(rows, columns)
 
-    monkeypatch.setattr(st, "stress_numbers", stress_numbers)
     monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
     report = ver.run_families(list(ver.FAMILIES), SEED, [("level", 3, 1), ("support", 1)])
     assert report.ok
