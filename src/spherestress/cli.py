@@ -86,6 +86,9 @@ def _require_sphere(sphere: cat.NamedSphere) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
+    """Readouts of any complex.  The sphere test is not run here (it can
+    take far longer than the rest), so the output says which readouts
+    assume a sphere."""
     sphere = _resolve_target(args.target)
     c = sphere.complex
     inv = invariants(c)
@@ -103,6 +106,7 @@ def cmd_info(args) -> int:
         "class": f"S({jstar},{c.dim})",
         "flag": jstar <= 1,
         "guaranteed_level_degree": guaranteed_level_degree(c),
+        "sphere_checked": False,
     }
     _emit(doc, args.json, [
         f"{sphere.name}: dimension {c.dim}, {len(c.vertices)} vertices",
@@ -113,6 +117,7 @@ def cmd_info(args) -> int:
         f"  missing faces by dimension: {counts or '{}'}",
         f"  class S({jstar},{c.dim})" + ("  [flag]" if jstar <= 1 else ""),
         f"  level up to degree {guaranteed_level_degree(c)} (guaranteed)",
+        "  not checked to be a sphere: gamma, class, flag and level assume one",
     ])
     return EXIT_OK
 

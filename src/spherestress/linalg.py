@@ -11,7 +11,7 @@ own bit-mask loop, ``gf2_pivots``; ``gf2_rank`` counts its pivots.
 
 Certificates mod p.  ``to_modp`` is the one rational-to-GF(p)
 conversion: it maps each entry a/b of sparse rational rows to
-a * b^-1 mod PRIME (p = 2^61 - 1), and refuses (returns None) when some
+a * b^-1 mod PRIME (p = 2^30 - 35), and refuses (returns None) when some
 denominator is divisible by p.  ``modp_rank`` and ``modp_kernel`` take
 rows that are already in GF(p).  A caller converts its data once, where
 the denominators first appear, and builds its matrices mod p from the
@@ -24,15 +24,21 @@ row by the product of its denominators, a unit mod p, gives an integer
 matrix of the same rank over Q whose reduction has the same rank mod p,
 and a nonzero minor mod p of it is a nonzero integer minor: so
 rank_p <= rank_Q, and the kernel mod p is at least as long as the
-kernel over Q.  This module computes both and accepts neither.  The
-stress module converts each embedding's coordinate forms once
-(``stress.StressSpaces``) and pairs the length of a kernel mod p with a
-lower bound from theory, 0 or g_k, keeping it when the two meet
-(``stress._stresses``); in every other case (a refused conversion, or a
-kernel mod p longer than the bound) the answer comes from
-``kernel_basis``, a plain elimination over Q.  Over Q and GF(p) alike,
-``SparseRREF.kernel`` reads the canonical kernel basis off the free
-columns.
+kernel over Q.  This module computes both and accepts neither.  Since
+any p is sound, a rank drop mod p (a nonzero minor over Q that p
+divides) costs only time: the caller falls back to Q.  For coordinates
+that behave randomly mod p it happens about rank/p of the time, near
+10^-6 per matrix of this package.  So PRIME is the largest prime below
+2^30, CPython's int digit: every residue and every pivot coefficient is
+a one-digit int, and ``SparseRREF.reduce`` accumulates its products and
+reduces each residual entry once.  The stress module converts each
+embedding's coordinate forms once (``stress.StressSpaces``) and pairs
+the length of a kernel mod p with a lower bound from theory, 0 or g_k,
+keeping it when the two meet (``stress._stresses``); in every other
+case (a refused conversion, or a kernel mod p longer than the bound)
+the answer comes from ``kernel_basis``, a plain elimination over Q.
+Over Q and GF(p) alike, ``SparseRREF.kernel`` reads the canonical
+kernel basis off the free columns.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from fractions import Fraction
 
 QQ = Fraction  # the rational type; the benchmark reports it by this name
 
-PRIME = 2 ** 61 - 1  # a Mersenne prime; read at call time by to_modp and modp_rank
+# the largest prime below 2^30, so a residue fits one CPython int digit
+# (sys.int_info.bits_per_digit); read at call time by to_modp and modp_rank
+PRIME = 2 ** 30 - 35
 
 
 class SparseRREF:
@@ -86,20 +94,16 @@ class SparseRREF:
         p = self.modulus
         v = {c: x for c, x in vec.items() if x}
         # a stored row touches no other pivot column, so the pivot
-        # entries of v never change while it is reduced
+        # entries of v never change while it is reduced, and each free
+        # entry can be reduced once, at the end
         for c in [c for c in v if c in self.row_of_pivot]:
             coef = v.pop(c)
             for cc, val in self.rows[self.row_of_pivot[c]].items():
-                if cc == c:
-                    continue
-                nv = v.get(cc, 0) - coef * val
-                if p is not None:
-                    nv %= p
-                if nv:
-                    v[cc] = nv
-                else:
-                    del v[cc]
-        return v
+                if cc != c:
+                    v[cc] = v.get(cc, 0) - coef * val
+        if p is None:
+            return {c: x for c, x in v.items() if x}
+        return {c: r for c, x in v.items() if (r := x % p)}
 
     def insert(self, vec: dict) -> bool:
         """Insert a row; return True if it increased the rank."""

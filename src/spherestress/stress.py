@@ -6,9 +6,10 @@ the derivative operators of the d coordinate linear forms and of the
 all-ones form.  Bases are exact kernels of the stacked operator matrix
 in their canonical reduced echelon form (each pivot at its vector's
 smallest column), read off the one elimination of that matrix, so they
-do not depend on row order.  Coefficients are ``fractions.Fraction``
-end to end, and the cone-lift check is a span-membership test (an
-empty ``SparseRREF.reduce`` residual), not a linear solve.
+do not depend on row order.  On the path over Q, coefficients are
+``fractions.Fraction`` end to end; a kernel kept mod p (below) has int
+coefficients in [0, p).  The cone-lift check is a span-membership test
+(an empty ``SparseRREF.reduce`` residual), not a linear solve.
 
 Dimensions and socles need no basis over Q when a certificate settles
 them, and one function, ``_stresses``, decides it for each degree.  A

@@ -33,6 +33,30 @@ class TestInfo:
         assert doc["class"] == "S(1,2)"
         assert doc["flag"] is True
 
+    # two disjoint triangles and a 2-ball read as a sphere class, gamma,
+    # flag and level; info says it has not checked that they are spheres
+    @pytest.mark.parametrize("facets, readouts", [
+        ([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]],
+         ["gamma = [1, 2]", "class S(2,1)", "level up to degree 0 (guaranteed)"]),
+        ([[1, 2, 3], [1, 3, 4]], ["class S(1,2)  [flag]", "level up to degree 1 (guaranteed)"]),
+    ])
+    def test_non_sphere_readouts_say_unchecked(self, facets, readouts, capsys, monkeypatch):
+        tests = []
+        spy = tests.append
+        for name in ("is_z2_homology_sphere", "z2_reduced_betti"):
+            monkeypatch.setattr(ss.complex_core, name, spy)
+        monkeypatch.setattr(ss.stress, "is_z2_homology_sphere", spy)
+        doc = json.dumps({"facets": facets})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "info", "-")
+        assert code == 0
+        assert all(r in out for r in readouts)
+        assert "not checked to be a sphere: gamma, class, flag and level assume one" in out
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "info", "-", "--json")
+        assert code == 0 and json.loads(out)["sphere_checked"] is False
+        assert tests == []
+
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "info", "zonotope-9000")
         assert code == 2

@@ -1,5 +1,6 @@
 """Unit tests for the exact sparse linear algebra layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,62 @@ class TestInsertInvariants:
                 row = {j: rng.randint(1, 6) for j in rng.sample(range(12), 4)}
                 rr.insert(row if modulus else {j: Fraction(x) for j, x in row.items()})
             assert rr.pivot_cols == [max(row) for row in rr.rows]
+
+
+def reference_reduce(rr, vec):
+    """The residual of ``vec`` by the rows of ``rr``, reduced mod p after
+    every product and with each cancelled entry deleted at once: the
+    reference for ``SparseRREF.reduce``, which reduces each residual
+    entry once at the end."""
+    p = rr.modulus
+    v = {c: x for c, x in vec.items() if x}
+    for c in [c for c in v if c in rr.row_of_pivot]:
+        coef = v.pop(c)
+        for cc, val in rr.rows[rr.row_of_pivot[c]].items():
+            if cc == c:
+                continue
+            nv = v.get(cc, 0) - coef * val
+            if p is not None:
+                nv %= p
+            if nv:
+                v[cc] = nv
+            else:
+                del v[cc]
+    return v
+
+
+class ReferenceRREF(SparseRREF):
+    reduce = reference_reduce
+
+
+class TestDeferredReduction:
+    @settings(max_examples=200)
+    @given(hs.sampled_from([None, 2, 3, 101, linalg.PRIME]), hs.integers(1, 8), hs.data())
+    def test_matches_per_step_reduction(self, modulus, ncols, data):
+        entries = small_rationals if modulus is None else hs.integers(0, modulus - 1)
+        vectors = hs.lists(hs.dictionaries(hs.integers(0, ncols - 1), entries, max_size=ncols),
+                           max_size=8)
+        rows, probes = data.draw(vectors, label="rows"), data.draw(vectors, label="probes")
+        rr, ref = SparseRREF(modulus), ReferenceRREF(modulus)
+        for row in rows:
+            assert rr.insert(row) == ref.insert(row)
+            # every inserted row reduces to nothing, so residuals cancel often
+            for vec in rows + probes:
+                residual = rr.reduce(vec)
+                assert residual == reference_reduce(ref, vec)
+                assert all(x and (modulus is None or 0 < x < modulus)
+                           for x in residual.values())
+        assert rr.rank == ref.rank
+        assert rr.pivot_cols == ref.pivot_cols
+        assert rr.kernel(range(ncols)) == ref.kernel(range(ncols))
+
+
+def test_prime_is_one_digit():
+    # a residue below 2^30 is one CPython int digit; a larger prime is
+    # as sound but slower (see the linalg docstring)
+    p = linalg.PRIME
+    assert 1 < p < 2 ** 30
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 class TestGF2:

@@ -506,7 +506,8 @@ class TestCohenMacaulayCertificate:
 
     @settings(max_examples=100)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
-                            "K-2-4"]), hs.sampled_from([2, 3, 2 ** 61 - 1]), hs.data())
+                            "K-2-4"]),
+           hs.sampled_from([2, 3, linalg.PRIME, 2 ** 61 - 1]), hs.data())
     def test_matches_q_path(self, name, prime, data):
         # coordinates in -2..2 make singular facet minors, degenerate
         # embeddings and every fallback common; their denominators, from a
