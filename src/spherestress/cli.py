@@ -2,16 +2,17 @@
 
 Targets are catalog names, paths to JSON complex files, or "-" for
 stdin.  Exit codes: 0 success, 1 a verification check failed, 2 bad
-input (unknown name, malformed file, bad arguments), 3 a degenerate
-embedding certificate failure, 4 an internal error (an unexpected
-exception, reported in one line on stderr).  All randomness flows from
---seed, and identical invocations with identical seeds print
+input (unknown name, unreadable or malformed file, bad arguments), 3 a
+degenerate embedding certificate failure, 4 an internal error (an
+unexpected exception, reported in one line on stderr).  All randomness
+flows from --seed, and identical invocations with identical seeds print
 byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from . import s24
 from . import sequences as seqs
 from . import stress as st
 from . import verify as ver
-from .enumeration import f_vector, g_vector, guaranteed_level_degree, invariants
+from .enumeration import g_vector, guaranteed_level_degree, invariants
 from .graphs import VERTEX_CAP, VertexCapExceeded, graph_of, independence_number, turan_bound
 
 EXIT_OK = 0
@@ -43,8 +44,11 @@ def _resolve_target(target: str) -> cat.NamedSphere:
     if target == "-":
         source, default_name, text = "complex on stdin", "stdin", sys.stdin.read()
     elif os.path.exists(target):
-        with open(target, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliInputError(f"cannot read {target}: {exc.strerror or exc}") from exc
         source, default_name = f"facet file {target}", os.path.basename(target)
     else:
         raise CliInputError(f"unknown complex name or file: {target!r}")
@@ -178,11 +182,14 @@ def cmd_socle(args) -> int:
     counts = cc.missing_face_counts(c)
     d = c.dim + 1
     expected = [counts.get(d - k, 0) for k in range(len(soc))]
+    middle = (d - 1) // 2
+    relation = ["=" if k < middle else ">=" if k == middle else None for k in range(len(soc))]
     doc = {"name": sphere.name, "socle": soc, "missing_counts": expected,
-           "embedding": args.embedding, "seed": args.seed}
+           "relation": relation, "embedding": args.embedding, "seed": args.seed}
     _emit(doc, args.json, [
         f"{sphere.name}: socle dimensions by degree = {soc}",
         f"  missing (d-k)-face counts          = {expected}",
+        f"  claimed socle vs count by degree   = [{', '.join(r or 'none' for r in relation)}]",
     ])
     return EXIT_OK
 
@@ -211,8 +218,7 @@ def cmd_alpha(args) -> int:
     sphere = _resolve_target(args.target)
     c = sphere.complex
     g = graph_of(c)
-    f = f_vector(c)
-    bound = turan_bound(f[1], f[2] if len(f) > 2 else 0)  # f_1 = 0 without edges
+    bound = turan_bound(len(c.vertices), len(c.faces(1)))  # reads no level above the edges
     try:
         alpha, witness = independence_number(g, cap=args.cap_vertices)
     except VertexCapExceeded as exc:
@@ -314,6 +320,7 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spherestress",
@@ -327,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("info", help="f/h/g/gamma vectors and class membership")
     add_common(sp)
-    sp.set_defaults(fn=cmd_info)
 
     sp = sub.add_parser("catalog", help="list shipped complexes or build one")
     sp.add_argument("action", choices=["list", "build"])
@@ -335,35 +341,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="for build: family (simplex|cycle|cross|K|cyclejoin|polytope) "
                          "and integer parameters")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("stress", help="exact affine stress space basis and dimension")
     add_common(sp)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--embedding", choices=["generic", "natural"], default="generic")
     sp.add_argument("--basis", action="store_true", help="include the basis in the output")
-    sp.set_defaults(fn=cmd_stress)
 
     sp = sub.add_parser("socle", help="socle dimensions of the Artinian reduction")
     add_common(sp)
     sp.add_argument("--embedding", choices=["generic", "natural"], default="generic")
-    sp.set_defaults(fn=cmd_socle)
 
     sp = sub.add_parser("seq", help="integer sequence tests")
     sp.add_argument("action", choices=["check-m", "check-level"])
     sp.add_argument("sequence", help="comma- or space-separated integers")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_seq)
 
     sp = sub.add_parser("alpha", help="exact independence number of the graph")
     add_common(sp)
     sp.add_argument("--cap-vertices", type=int, default=VERTEX_CAP)
-    sp.set_defaults(fn=cmd_alpha)
 
     sp = sub.add_parser("s24", help="reduction machinery for 4-spheres, missing dims <= 2")
     sp.add_argument("action", choices=["reduce", "verify", "probe-nevo"])
     add_common(sp)
-    sp.set_defaults(fn=cmd_s24)
 
     sp = sub.add_parser("verify", help="run verification report families")
     sp.add_argument("--all", action="store_true")
@@ -376,16 +376,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="print every statement id with the identity it checks")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--seed", type=int, default=17)
-    sp.set_defaults(fn=cmd_verify)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns its exit code.
+
+    The parser is built at the first call and reused by every later
+    call in the process.  The command's function is looked up by name
+    at each call, as the module global ``cmd_<command>``, so the parser
+    holds no function object and a rebound ``cmd_*`` global is the one
+    that runs."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

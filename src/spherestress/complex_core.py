@@ -2,13 +2,16 @@
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
 vertex labels; all other faces are derived on demand.  A complex
-memoizes three things: its faces by dimension (the one face index:
+memoizes three things: its faces level by level (the one face index:
 ``is_face`` looks a face up among the faces of its own dimension), its
 missing faces and its GF(2) homology sphere verdict.  Every operation
 returns a new value, nothing is mutated.
 
-Faces are enumerated once per complex, one frozenset per distinct face:
-each size's vertex tuples from all facets are gathered into one set
+A face level is built the first time ``faces(k)`` asks for it, and
+only that level, so a caller that reads the edges pays for no larger
+face.  ``faces_by_dim`` hands out the same levels.  Each level is
+enumerated at most once per complex, one frozenset per distinct face:
+the level's vertex tuples from all facets are gathered into one set
 before any frozenset is made.
 
 The homology sphere test builds no link complex.  It numbers the faces
@@ -20,7 +23,9 @@ parent's faces.
 A trial edge contraction builds no complex either:
 ``contraction_missing_faces`` decides the missing faces after the
 contraction from the parent's memoized missing faces and the faces of
-the facets through the edge.
+the facets through the edge.  The new missing faces come from one
+search, smallest first, which the admissibility test of ``s24`` stops
+at the first one it cannot accept.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -54,25 +59,42 @@ class SimplicialComplex:
     dim: int
 
     @cached_property
-    def faces_by_dim(self) -> dict[int, frozenset[frozenset[int]]]:
-        """All faces grouped by dimension, including the empty face at -1.
+    def _face_levels(self) -> dict[int, frozenset[frozenset[int]]]:
+        """The face levels built so far, by dimension; ``faces`` fills it."""
+        return {}
 
-        The sorted vertex tuples of each size are gathered into one set
-        first, so a face that several facets share becomes a frozenset
-        once.
+    @cached_property
+    def _sorted_facets(self) -> list[list[int]]:
+        """Each facet as a sorted list, shared by the level builds."""
+        return [sorted(f) for f in self.facets]
+
+    def _level(self, k: int) -> frozenset[frozenset[int]]:
+        """The k-faces, built from the facets.
+
+        The sorted (k+1)-vertex tuples of all facets are gathered into
+        one set first, so a face that several facets share becomes a
+        frozenset once.
         """
-        facets = [sorted(f) for f in self.facets]
-        out = {}
-        for k in range(self.dim + 2):
-            level: set[tuple[int, ...]] = set()
-            for f in facets:
-                level.update(combinations(f, k))
-            out[k - 1] = frozenset(map(frozenset, level))
-        return out
+        level: set[tuple[int, ...]] = set()
+        for f in self._sorted_facets:
+            level.update(combinations(f, k + 1))
+        return frozenset(map(frozenset, level))
 
     def faces(self, k: int) -> frozenset[frozenset[int]]:
-        """The k-dimensional faces (k = -1 gives {∅})."""
-        return self.faces_by_dim.get(k, frozenset())
+        """The k-dimensional faces (k = -1 gives {∅}).  Level k is built
+        the first time it is asked for and memoized."""
+        level = self._face_levels.get(k)
+        if level is None:
+            if not -1 <= k <= self.dim:
+                return frozenset()
+            level = self._face_levels[k] = self._level(k)
+        return level
+
+    @cached_property
+    def faces_by_dim(self) -> dict[int, frozenset[frozenset[int]]]:
+        """All faces grouped by dimension, including the empty face at
+        -1, read through ``faces``, so no level is built twice."""
+        return {k: self.faces(k) for k in range(-1, self.dim + 1)}
 
     def is_face(self, tau) -> bool:
         t = frozenset(tau)
@@ -359,17 +381,29 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[Miss
     Let w = max(vertices) + 1 be the new vertex.  A set avoiding w is a
     face after the contraction exactly when it was a face of ``c``
     avoiding u and v, so the memoized missing faces of ``c`` that avoid
-    u and v stay missing, and every other missing face contains w.
-    lk(w) consists of the faces of F - {u, v} over the facets F meeting
-    uv, and T ∪ {w} is missing exactly when T is a face of ``c``
-    avoiding u and v, T is not in lk(w), and every T minus one vertex
-    is.  A single vertex T qualifies when it is adjacent to neither u
-    nor v.  A larger T has its vertices in lk(w), so it is a face of
-    lk(w) plus a vertex of lk(w) above its largest label, as in
-    ``_missing_faces``.
+    u and v stay missing, and every other missing face is T ∪ {w} for a
+    T from ``_new_missing_faces``.
     """
     e = _contractible_edge(c, u, v)
     w = max(c.vertices) + 1
+    out = [m.vertex_set for m in c._missing_faces if not m.vertex_set & e]
+    out += [frozenset((*t, w)) for t in _new_missing_faces(c, e, 1)]
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return [MissingFace(s) for s in out]
+
+
+def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):
+    """The sets T, as sorted tuples with |T| >= ``smallest``, for which
+    T ∪ {w} is a missing face after contracting the edge e of ``c`` to
+    a new vertex w; smallest |T| first, so a caller may stop early.
+
+    lk(w) consists of the faces of F - e over the facets F meeting e,
+    and T ∪ {w} is missing exactly when T is a face of ``c`` avoiding e,
+    T is not in lk(w), and every T minus one vertex is.  A single
+    vertex T qualifies when it is adjacent to neither end of e.  A
+    larger T has its vertices in lk(w), so it is a face of lk(w) plus a
+    vertex of lk(w) above its largest label, as in ``_missing_faces``.
+    """
     star = [sorted(f - e) for f in c.facets if f & e]
     lk: list[set[tuple[int, ...]]] = [{()}]  # faces of lk(w) by size, sorted tuples
     for k in range(1, max(map(len, star)) + 1):
@@ -378,19 +412,17 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[Miss
             level.update(combinations(f, k))
         lk.append(level)
     lk.append(set())
+    if smallest <= 1:
+        yield from ((x,) for x in c.vertices if x not in e and (x,) not in lk[1])
     near = sorted(x for (x,) in lk[1])
-    out = [m.vertex_set for m in c._missing_faces if not m.vertex_set & e]
-    out += [frozenset({x, w}) for x in c.vertices if x not in e and (x,) not in lk[1]]
-    for k in range(1, len(lk) - 1):
+    for k in range(max(smallest - 1, 1), len(lk) - 1):
         level, above, faces = lk[k], lk[k + 1], c.faces(k)
         for f in level:
             for y in near[bisect_right(near, f[-1]):]:
                 t = f + (y,)
                 if t not in above and all(t[:i] + t[i + 1:] in level for i in range(k)) \
                         and frozenset(t) in faces:
-                    out.append(frozenset(t + (w,)))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return [MissingFace(s) for s in out]
+                    yield t
 
 
 # ---------------------------------------------------------------------------

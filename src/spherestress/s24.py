@@ -48,17 +48,19 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     """Edges whose contraction is defined (they lie in no missing face)
     and keeps every missing face of dimension at most 2.
 
-    No trial complex is built: the missing faces after each contraction
-    come from ``cc.contraction_missing_faces``, which reads the parent's
-    memoized missing faces and the faces near the edge."""
+    No trial complex is built, and no missing-face list either.  The
+    missing faces that the contraction keeps from ``c`` have dimension
+    at most 2 (``c`` is checked to be in the class), and each new one
+    is T ∪ {w} for the new vertex w, of dimension |T|.  So an edge is
+    refused exactly when a new missing face has |T| >= 3, and the
+    search for one (``cc._new_missing_faces``) stops at the first."""
     _require_s24(c)
     mfs = [m.vertex_set for m in missing_faces(c)]
     out = []
     for e in sorted(c.faces(1), key=sorted):
         if any(e <= m for m in mfs):
             continue
-        u, v = sorted(e)
-        if all(m.dim <= 2 for m in cc.contraction_missing_faces(c, u, v)):
+        if next(cc._new_missing_faces(c, e, 3), None) is None:
             out.append(e)
     return out
 

@@ -147,6 +147,12 @@ class TestInfo:
         assert out == "" and err == "internal error: RuntimeError('boom')\n"
 
 
+    def test_directory_target_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "info", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
 class TestCatalog:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")
@@ -218,6 +224,21 @@ class TestStressAndSocle:
         doc = json.loads(out)
         assert doc["socle"] == [0, 0, 1, 1]
 
+    # the identity claims "=" below degree floor((d-1)/2), ">=" there, nothing above
+    @pytest.mark.parametrize("name, socle, counts, relation", [
+        ("octahedron", [0, 2], [0, 0], ["=", ">="]),
+        ("K-2-5", [0, 0, 1, 1], [0, 0, 0, 0], ["=", "=", ">=", None]),
+    ])
+    def test_socle_says_which_relation_each_degree_claims(self, name, socle, counts,
+                                                          relation, capsys):
+        code, out, _ = run(capsys, "socle", name, "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["socle"], doc["missing_counts"], doc["relation"]) == (socle, counts, relation)
+        code, out, _ = run(capsys, "socle", name)
+        shown = ", ".join(r or "none" for r in relation)
+        assert code == 0 and f"claimed socle vs count by degree   = [{shown}]" in out
+
     @pytest.mark.parametrize("name", NON_SPHERES)
     def test_stress_rejects_non_spheres(self, name, capsys, monkeypatch):
         doc = {"name": name, "facets": NON_SPHERES[name]}
@@ -260,6 +281,16 @@ class TestSeqAndAlpha:
         assert doc["turan_bound"] == "2/1"
 
 
+    def test_alpha_builds_no_face_level_above_the_edges(self, capsys, tmp_path, level_builds):
+        path = tmp_path / "K-4-11.json"
+        path.write_text(ss.complex_to_json(ss.catalog.build_K(4, 12).complex))
+        level_builds.clear()
+        code, out, _ = run(capsys, "alpha", str(path), "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["alpha"] == 1 and doc["turan_bound"] == "1/1"
+        assert {k for _, k in level_builds} <= {-1, 0, 1}
+
+
 class TestS24Command:
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "s24", "verify", "K-2-4")
@@ -284,6 +315,42 @@ class TestS24Command:
         monkeypatch.setattr("sys.stdin", io.StringIO(ball))
         code, out, err = run(capsys, "s24", action, "-")
         assert code == 2 and out == "" and "not a homology 4-sphere over GF(2)" in err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse's own
+    exit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneParserPerProcess:
+    CALLS = [
+        ("info", "octahedron", "--json"),
+        ("alpha", "octahedron"),
+        ("info",),  # argparse rejects it: the target is missing
+        ("seq", "check-m", "1,2,4", "--json"),
+        ("s24", "verify", "K-2-4"),
+        ("catalog", "bogus"),  # argparse rejects the action
+        ("verify", "--explain", "--json"),
+        ("info", "K-2-5"),
+    ]
+
+    def test_calls_in_sequence_match_lone_calls(self, capsys):
+        cli._build_parser.cache_clear()
+        together = [outcome(capsys, argv) for argv in self.CALLS]
+        assert cli._build_parser.cache_info().misses == 1
+        alone = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            alone.append(outcome(capsys, argv))
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 0, 2, 1, 0, 2, 0, 0]
+        assert "the following arguments are required: target" in together[2][2]
 
 
 class TestVerify:

@@ -470,6 +470,16 @@ class TestFaceEnumeration:
         assert got == reference_faces_by_dim(c)
         assert list(got) == list(range(-1, c.dim + 1))
 
+    @settings(max_examples=200)
+    @given(facet_lists.map(ss.from_facets), hs.lists(hs.integers(-2, 6), max_size=6))
+    @example(EMPTY, [0, -1])
+    def test_levels_built_on_first_use_match_reference(self, c, first):
+        ref = reference_faces_by_dim(c)
+        for k in [*first, *range(-2, c.dim + 2)]:  # any levels first, then all in order
+            assert c.faces(k) == ref.get(k, frozenset())
+        assert c.faces_by_dim == ref
+        assert all(c.faces_by_dim[k] is c.faces(k) for k in ref)
+
     @settings(max_examples=150)
     @given(pure_complexes())
     def test_vertex_link_f_vectors_match_built_links(self, c):

@@ -1,12 +1,13 @@
 """Tests for the reduction machinery on 4-spheres with small missing faces."""
 
-import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 import spherestress as ss
 from spherestress import complex_core as cc
+from spherestress.catalog import S24
 from spherestress.s24 import violates_condition_two
 
 # A 4-ball: two 4-simplices glued along a tetrahedron, in class S(1,4).
@@ -64,21 +65,24 @@ class TestAdmissibleContractions:
             c = ss.contract_edge(c, u, v)
         assert ss.admissible_contractions(c) == reference_admissible(c) == []
 
-    def test_builds_no_trial_complex(self, monkeypatch):
-        c = ss.from_facets(ss.build("cyclejoin-4-5").complex.facets)
-        enumerated = []
-        real = cc.SimplicialComplex.faces_by_dim.func
+    # a relabeling moves the new vertex w = max label + 1 against the others
+    @pytest.mark.parametrize("name", S24)
+    def test_matches_definition_on_catalog_and_relabelings(self, name):
+        c = ss.build(name).complex
+        relabeled = [ss.relabel(c, dict(zip(c.vertices, random.Random(seed).sample(
+            range(1, 100), len(c.vertices))))) for seed in (1, 2)]
+        for x in (c, *relabeled):
+            assert ss.admissible_contractions(x) == reference_admissible(x)
 
-        def faces_by_dim(self):
-            enumerated.append(self)
-            return real(self)
-        counted = functools.cached_property(faces_by_dim)
-        counted.__set_name__(cc.SimplicialComplex, "faces_by_dim")
-        monkeypatch.setattr(cc.SimplicialComplex, "faces_by_dim", counted)
+    def test_builds_no_trial_complex(self, monkeypatch, level_builds):
+        c = ss.from_facets(ss.build("cyclejoin-4-5").complex.facets)
+        level_builds.clear()
         monkeypatch.setattr(cc, "contract_edge",
                             lambda *a: pytest.fail("contract_edge called"))
         assert ss.admissible_contractions(c)
-        assert len(enumerated) == 1 and enumerated[0] is c
+        assert level_builds and all(x is c for x, _ in level_builds)
+        levels = [k for _, k in level_builds]
+        assert len(levels) == len(set(levels))
 
     def test_K24_has_none(self):
         assert ss.admissible_contractions(ss.build("K-2-4").complex) == []
