@@ -27,7 +27,6 @@ class NamedSphere:
     complex: SimplicialComplex
     natural_coords: Embedding | None = None
     expected: InvariantVectors | None = None
-    description: str = ""
 
     def __post_init__(self):
         if self.expected is not None:
@@ -60,12 +59,10 @@ def build_K(i: int, d: int) -> NamedSphere:
     if not (3 * i >= d and 2 * i <= d):
         raise ValueError(f"K({i},{d - 1}) needs d/3 <= i <= d/2, got i={i}, d={d}")
     parts = [cc.boundary_simplex(i), cc.boundary_simplex(i)]
-    desc = f"join of two boundary {i}-simplices"
     if d - 2 * i >= 1:
         parts.append(cc.boundary_simplex(d - 2 * i))
-        desc += f" and a boundary {d - 2 * i}-simplex"
     complex_ = cc.join(*parts)
-    sphere = NamedSphere(f"K-{i}-{d - 1}", complex_, description=desc)
+    sphere = NamedSphere(f"K-{i}-{d - 1}", complex_)
     if cc.max_missing_dim(complex_) != i:
         raise ValueError(f"K({i},{d - 1}) fails its class membership check")
     return sphere
@@ -192,15 +189,12 @@ def build_counterexample_polytope(m: int) -> NamedSphere:
 
     complex_ = cc.join(cc.boundary_simplex(u - 1), cc.boundary_simplex(u - 1),
                        cc.boundary_simplex(2))
-    found = {mf.vertex_set for mf in missing_faces(complex_)}
+    found = set(missing_faces(complex_))
     expected = {frozenset(group1), frozenset(group2), frozenset(group3)}
     if found != expected:
         raise ValueError("missing faces are not exactly the three vertex groups")
     emb = st.natural_embedding(complex_, coords)
-    return NamedSphere(
-        f"polytope-{m}", complex_, natural_coords=emb,
-        description=f"free sum of two {2 * m}-simplices and a triangle, "
-                    f"boundary K({2 * m},{4 * m + 1})")
+    return NamedSphere(f"polytope-{m}", complex_, natural_coords=emb)
 
 
 def _group_power(group: list[int], a: int) -> dict[tuple[int, ...], Fraction]:
@@ -346,24 +340,21 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
 # ---------------------------------------------------------------------------
 
 def _simplex(d: int) -> NamedSphere:
-    return NamedSphere(f"boundary-simplex-{d}", cc.boundary_simplex(d),
-                       description=f"boundary complex of a {d}-simplex")
+    return NamedSphere(f"boundary-simplex-{d}", cc.boundary_simplex(d))
 
 
 def _cycle(n: int) -> NamedSphere:
-    return NamedSphere(f"cycle-{n}", cc.cycle(n), description=f"{n}-cycle")
+    return NamedSphere(f"cycle-{n}", cc.cycle(n))
 
 
 def _cross(d: int) -> NamedSphere:
     return NamedSphere(
         f"cross-{d}", cross_polytope(d),
-        natural_coords=st.natural_embedding(cross_polytope(d), cross_polytope_coords(d)),
-        description=f"boundary of the {d}-dimensional cross-polytope")
+        natural_coords=st.natural_embedding(cross_polytope(d), cross_polytope_coords(d)))
 
 
 def _cyclejoin(n: int, m: int) -> NamedSphere:
-    return NamedSphere(f"cyclejoin-{n}-{m}", cyclejoin(n, m),
-                       description=f"suspension of the join of a {n}-cycle and a {m}-cycle")
+    return NamedSphere(f"cyclejoin-{n}-{m}", cyclejoin(n, m))
 
 
 def build_family(family: str, args: list[int]) -> NamedSphere:

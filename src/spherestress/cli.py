@@ -182,8 +182,7 @@ def cmd_socle(args) -> int:
     counts = cc.missing_face_counts(c)
     d = c.dim + 1
     expected = [counts.get(d - k, 0) for k in range(len(soc))]
-    middle = (d - 1) // 2
-    relation = ["=" if k < middle else ">=" if k == middle else None for k in range(len(soc))]
+    relation = [ver.socle_relation(d, k) for k in range(len(soc))]
     doc = {"name": sphere.name, "socle": soc, "missing_counts": expected,
            "relation": relation, "embedding": args.embedding, "seed": args.seed}
     _emit(doc, args.json, [

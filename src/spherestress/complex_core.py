@@ -101,7 +101,7 @@ class SimplicialComplex:
         return t in self.faces(len(t) - 1)
 
     @cached_property
-    def _missing_faces(self) -> tuple[MissingFace, ...]:
+    def _missing_faces(self) -> tuple[frozenset[int], ...]:
         """All missing faces, sorted by (dimension, vertex labels).
 
         Every proper subset of a missing face s is a face, s - {max s}
@@ -118,7 +118,7 @@ class SimplicialComplex:
                     if s not in above and all(s - {u} in level for u in f):
                         out.append(s)
         out.sort(key=lambda s: (len(s), sorted(s)))
-        return tuple(MissingFace(s) for s in out)
+        return tuple(out)
 
     @cached_property
     def _z2_sphere(self) -> bool:
@@ -295,22 +295,9 @@ def induced(c: SimplicialComplex, w) -> SimplicialComplex:
     return _make([f & ws for f in c.facets if f & ws])
 
 
-@dataclass(frozen=True)
-class MissingFace:
-    """A non-face all of whose proper subsets are faces."""
-
-    vertex_set: frozenset[int]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertex_set) - 1
-
-    def __repr__(self):
-        return f"MissingFace({sorted(self.vertex_set)})"
-
-
-def missing_faces(c: SimplicialComplex) -> list[MissingFace]:
-    """All missing faces, sorted by (dimension, vertex labels).
+def missing_faces(c: SimplicialComplex) -> list[frozenset[int]]:
+    """All missing faces (non-faces all of whose proper subsets are
+    faces) as vertex sets, sorted by (dimension, vertex labels).
 
     Computed once per complex; each call returns a fresh list.
     """
@@ -320,14 +307,14 @@ def missing_faces(c: SimplicialComplex) -> list[MissingFace]:
 def missing_face_counts(c: SimplicialComplex) -> dict[int, int]:
     """m_i = number of missing i-faces, as a dict over occurring dimensions."""
     counts: dict[int, int] = {}
-    for mf in missing_faces(c):
-        counts[mf.dim] = counts.get(mf.dim, 0) + 1
+    for s in c._missing_faces:
+        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
     return counts
 
 
 def max_missing_dim(c: SimplicialComplex) -> int:
-    mf = missing_faces(c)
-    return max(m.dim for m in mf) if mf else 0
+    mf = c._missing_faces  # sorted by dimension, so the last is the largest
+    return len(mf[-1]) - 1 if mf else 0
 
 
 def in_class_S(c: SimplicialComplex, j: int) -> bool:
@@ -355,9 +342,9 @@ def _contractible_edge(c: SimplicialComplex, u: int, v: int) -> frozenset[int]:
     e = frozenset({u, v})
     if not c.is_face(e):
         raise ValueError(f"{sorted(e)} is not an edge")
-    for mf in c._missing_faces:
-        if e <= mf.vertex_set:
-            raise InadmissibleContraction(e, mf.vertex_set)
+    for s in c._missing_faces:
+        if e <= s:
+            raise InadmissibleContraction(e, s)
     return e
 
 
@@ -374,7 +361,7 @@ def contract_edge(c: SimplicialComplex, u: int, v: int) -> SimplicialComplex:
     return _make([(f - e) | {w} if f & e else f for f in c.facets])
 
 
-def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[MissingFace]:
+def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[frozenset[int]]:
     """``missing_faces(contract_edge(c, u, v))``, in the same order,
     without building the contracted complex; raises as ``contract_edge``.
 
@@ -386,10 +373,10 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[Miss
     """
     e = _contractible_edge(c, u, v)
     w = max(c.vertices) + 1
-    out = [m.vertex_set for m in c._missing_faces if not m.vertex_set & e]
+    out = [s for s in c._missing_faces if not s & e]
     out += [frozenset((*t, w)) for t in _new_missing_faces(c, e, 1)]
     out.sort(key=lambda s: (len(s), sorted(s)))
-    return [MissingFace(s) for s in out]
+    return out
 
 
 def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):

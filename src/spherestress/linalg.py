@@ -36,9 +36,11 @@ embedding's coordinate forms once (``stress.StressSpaces``) and pairs
 the length of a kernel mod p with a lower bound from theory, 0 or g_k,
 keeping it when the two meet (``stress._stresses``); in every other
 case (a refused conversion, or a kernel mod p longer than the bound)
-the answer comes from ``kernel_basis``, a plain elimination over Q.
-Over Q and GF(p) alike, ``SparseRREF.kernel`` reads the canonical
-kernel basis off the free columns.
+the answer comes from ``kernel_basis``, a plain elimination over Q,
+and an exported stress basis (``stress.stress_space``) comes from it
+directly.  Over Q and GF(p) alike, ``SparseRREF`` stores each row under
+its pivot column, and ``SparseRREF.kernel`` reads the canonical kernel
+basis off the free columns.
 """
 
 from __future__ import annotations
@@ -59,10 +61,13 @@ class SparseRREF:
 
     Rows are inserted one at a time and the stored rows are kept fully
     reduced: every pivot entry is 1 and each pivot column is zero in all
-    other stored rows.  Consequently a stored row has nonzero entries
-    only in its own pivot column and in free columns, so when the
-    accumulated matrix has a small kernel the fill-in stays small and
-    insertion cost is roughly proportional to the input's sparsity.
+    other stored rows.  ``rows`` maps each pivot column to its stored
+    row, so a row is found by its pivot, and ``_col_rows`` maps each
+    column to the pivots of the rows that use it.  A stored row has
+    nonzero entries only in its own pivot column and in free columns, so
+    when the accumulated matrix has a small kernel the fill-in stays
+    small and insertion cost is roughly proportional to the input's
+    sparsity.
 
     The pivot is always the residual's largest column.  A stored row
     therefore ends at its pivot: eliminating a new pivot from it
@@ -79,10 +84,8 @@ class SparseRREF:
 
     def __init__(self, modulus=None):
         self.modulus = modulus
-        self.rows: list[dict] = []
-        self.pivot_cols: list = []      # pivot column of rows[i]
-        self.row_of_pivot: dict = {}    # pivot column -> row index
-        self._col_rows: dict = {}       # column -> set of row indices using it
+        self.rows: dict = {}        # pivot column -> its row
+        self._col_rows: dict = {}   # column -> pivots of the rows using it
 
     @property
     def rank(self) -> int:
@@ -96,9 +99,9 @@ class SparseRREF:
         # a stored row touches no other pivot column, so the pivot
         # entries of v never change while it is reduced, and each free
         # entry can be reduced once, at the end
-        for c in [c for c in v if c in self.row_of_pivot]:
+        for c in [c for c in v if c in self.rows]:
             coef = v.pop(c)
-            for cc, val in self.rows[self.row_of_pivot[c]].items():
+            for cc, val in self.rows[c].items():
                 if cc != c:
                     v[cc] = v.get(cc, 0) - coef * val
         if p is None:
@@ -118,12 +121,11 @@ class SparseRREF:
         else:
             inv = pow(res[pc], -1, p)
             new_row = {c: val * inv % p for c, val in res.items()}
-        idx = len(self.rows)
         # eliminate the new pivot column from all stored rows
-        for ri in list(self._col_rows.get(pc, ())):
-            row = self.rows[ri]
+        for other in list(self._col_rows.get(pc, ())):
+            row = self.rows[other]
             coef = row.pop(pc)
-            self._col_rows[pc].discard(ri)
+            self._col_rows[pc].discard(other)
             for cc, val in new_row.items():
                 if cc == pc:
                     continue
@@ -132,16 +134,14 @@ class SparseRREF:
                     nv %= p
                 if nv:
                     if cc not in row:
-                        self._col_rows.setdefault(cc, set()).add(ri)
+                        self._col_rows.setdefault(cc, set()).add(other)
                     row[cc] = nv
                 else:
                     del row[cc]
-                    self._col_rows[cc].discard(ri)
-        self.rows.append(new_row)
-        self.pivot_cols.append(pc)
-        self.row_of_pivot[pc] = idx
+                    self._col_rows[cc].discard(other)
+        self.rows[pc] = new_row
         for cc in new_row:
-            self._col_rows.setdefault(cc, set()).add(idx)
+            self._col_rows.setdefault(cc, set()).add(pc)
         return True
 
     def kernel(self, columns) -> list[dict]:
@@ -151,11 +151,11 @@ class SparseRREF:
         column.  Over Q and over GF(p) alike."""
         p = self.modulus
         basis = []
-        for fc in sorted(c for c in columns if c not in self.row_of_pivot):
+        for fc in sorted(c for c in columns if c not in self.rows):
             vec = {fc: Fraction(1) if p is None else 1}
-            for ri in self._col_rows.get(fc, ()):
-                x = -self.rows[ri][fc]
-                vec[self.pivot_cols[ri]] = x if p is None else x % p
+            for pc in self._col_rows.get(fc, ()):
+                x = -self.rows[pc][fc]
+                vec[pc] = x if p is None else x % p
             basis.append(vec)
         return basis
 
@@ -192,16 +192,11 @@ def to_modp(rows) -> list[dict] | None:
     return out
 
 
-def modp_rank(rows, rr=None) -> int:
+def modp_rank(rows) -> int:
     """Rank over GF(PRIME) of an iterable of rows over GF(PRIME) (ints in
     [0, PRIME)).  When the rows are the reduction of rational rows (see
-    ``to_modp``), it is a proven lower bound on their rank over Q.
-
-    A caller that wants more than the rank passes its own ``rr``, a
-    ``SparseRREF`` over GF(PRIME), and reads it afterwards.
-    """
-    if rr is None:
-        rr = SparseRREF(modulus=PRIME)
+    ``to_modp``), it is a proven lower bound on their rank over Q."""
+    rr = SparseRREF(modulus=PRIME)
     for row in rows:
         rr.insert(row)
     return rr.rank
@@ -213,7 +208,8 @@ def modp_kernel(rows, columns) -> list[dict]:
     rows are the reduction of rational rows, its length is an upper
     bound on the dimension of their kernel over Q."""
     rr = SparseRREF(modulus=PRIME)
-    modp_rank(rows, rr)
+    for row in rows:
+        rr.insert(row)
     return rr.kernel(columns)
 
 

@@ -55,7 +55,7 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     refused exactly when a new missing face has |T| >= 3, and the
     search for one (``cc._new_missing_faces``) stops at the first."""
     _require_s24(c)
-    mfs = [m.vertex_set for m in missing_faces(c)]
+    mfs = missing_faces(c)
     out = []
     for e in sorted(c.faces(1), key=sorted):
         if any(e <= m for m in mfs):
@@ -84,7 +84,7 @@ def find_induced_gamma(c: SimplicialComplex) -> list[tuple[frozenset[int], tuple
     connected components of the complementary induced subcomplex.
     """
     _require_s24(c)
-    triples = [m.vertex_set for m in missing_faces(c) if m.dim == 2]
+    triples = [m for m in missing_faces(c) if len(m) == 3]
     hits = []
     for t1, t2 in combinations(triples, 2):
         if t1 & t2:
@@ -250,7 +250,7 @@ def classify_g2_one(c: SimplicialComplex):
     d = c.dim + 1
     if g_vector(c)[2] != 1:
         raise ValueError("classification applies to complexes with g_2 = 1")
-    sets = [m.vertex_set for m in missing_faces(c)]
+    sets = missing_faces(c)
 
     if len(sets) == 2 and not (sets[0] & sets[1]) \
             and sets[0] | sets[1] == set(c.vertices):

@@ -47,10 +47,11 @@ converted forms, its lower bound and its stresses by degree, each
 computed at most once; ``stress_dims`` and ``stress_numbers`` read a
 fresh one, and ``verify`` keeps one per complex for a whole run.
 
-The exported bases (``stress_space``,
-``cone_lift_check``, the support counterexample) are always exact
-kernels over Q: with no lower bound, a kernel mod p is kept only when
-it is empty.
+The exported bases (``stress_space``, and through it
+``derivative_span_dim``, ``cone_lift_check``, ``star_stress_witness``
+and the support counterexample) are exact kernels over Q, eliminated
+over Q alone (``_exact_stresses``); only ``StressSpaces`` goes through
+``_stresses``.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -192,9 +193,6 @@ class StressPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mu: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mu)), Fraction(0))
-
     def participates(self, tau) -> bool:
         """True when some nonzero term's support contains the face tau."""
         t = frozenset(tau)
@@ -282,12 +280,12 @@ def stress_space(c: SimplicialComplex, e: Embedding, k: int) -> StressBasis:
 
     Columns are the face-supported degree-k monomials in graded-lex
     order; rows apply each of the d+1 linear-form derivatives.  The
-    returned basis is the canonical reduced-echelon kernel basis.
+    returned basis is the canonical reduced-echelon kernel basis, from
+    one elimination over Q and none mod p.
     """
     if k < 1:
         raise ValueError("stress spaces are computed for degree k >= 1")
-    # with no lower bound only an empty kernel mod p is kept, and it is exact
-    terms, _ = _stresses(c, e, k, None, _modp_forms(e))
+    terms = _exact_stresses(e, face_monomials(c, k))
     return StressBasis(c, e, k, tuple(StressPolynomial(k, t) for t in terms))
 
 

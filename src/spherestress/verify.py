@@ -11,6 +11,7 @@ generic embedding at most once (see ``run_families``).
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -237,6 +238,19 @@ def rows_stress(seed: int, build, spaces) -> list[CheckRow]:
     return rows
 
 
+def socle_relation(d: int, k: int) -> str | None:
+    """How the degree-k socle of a (d-1)-sphere compares with its number
+    of missing (d-k)-faces: "=" below degree floor((d-1)/2), ">=" at it,
+    None (no claim) above."""
+    middle = (d - 1) // 2
+    return "=" if k < middle else ">=" if k == middle else None
+
+
+# The statement id and the comparison that each socle relation checks.
+_SOCLE_CHECKS = {"=": ("socle-equals-missing-count", operator.eq),
+                 ">=": ("socle-middle-at-least-missing-count", operator.ge)}
+
+
 def rows_socle(seed: int, build, spaces) -> list[CheckRow]:
     rows = []
     for name in cat.RESIDUAL:
@@ -245,15 +259,12 @@ def rows_socle(seed: int, build, spaces) -> list[CheckRow]:
         soc = spaces(c).numbers[1]
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
-            m = counts.get(d - k, 0)
-            if k < (d - 1) // 2:
-                rows.append(CheckRow("socle-equals-missing-count",
-                                     f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
-                                     soc[k] == m))
-            elif k == (d - 1) // 2:
-                rows.append(CheckRow("socle-middle-at-least-missing-count",
-                                     f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
-                                     soc[k] >= m))
+            relation = socle_relation(d, k)
+            if relation:
+                check_id, holds = _SOCLE_CHECKS[relation]
+                m = counts.get(d - k, 0)
+                rows.append(CheckRow(check_id, f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
+                                     holds(soc[k], m)))
     verdict = st.is_level(spaces(build("K-2-4").complex).numbers[1], 2)
     rows.append(CheckRow("level-up-to-socle-degree", "K-2-4[up_to=2]",
                          str(verdict.holds), "True", verdict.holds, note=verdict.detail))

@@ -87,7 +87,7 @@ class TestCounterexamplePolytope:
 
     def test_m1_missing_faces(self):
         s = ss.build_counterexample_polytope(1)
-        got = {tuple(sorted(m.vertex_set)) for m in ss.missing_faces(s.complex)}
+        got = {tuple(sorted(m)) for m in ss.missing_faces(s.complex)}
         assert got == {(1, 2, 3), (4, 5, 6), (7, 8, 9)}
 
     def test_m2_shape(self):

@@ -91,7 +91,7 @@ class TestConstruction:
 
     def test_cycle(self):
         c4 = ss.cycle(4)
-        assert {tuple(sorted(m.vertex_set)) for m in ss.missing_faces(c4)} \
+        assert {tuple(sorted(m)) for m in ss.missing_faces(c4)} \
             == {(1, 3), (2, 4)}
         c6 = ss.cycle(6)
         assert ss.f_vector(c6) == [1, 6, 6]
@@ -171,22 +171,22 @@ class TestJoinsAndLocalComplexes:
 class TestMissingFaces:
     def test_square_diagonals(self):
         mf = ss.missing_faces(ss.cycle(4))
-        assert [sorted(m.vertex_set) for m in mf] == [[1, 3], [2, 4]]
-        assert all(m.dim == 1 for m in mf)
+        assert [sorted(m) for m in mf] == [[1, 3], [2, 4]]
+        assert all(type(m) is frozenset and len(m) == 2 for m in mf)
 
     def test_K24_missing_faces(self):
         k = ss.build("K-2-4").complex
         mf = ss.missing_faces(k)
-        dims = sorted(m.dim for m in mf)
+        dims = sorted(len(m) - 1 for m in mf)
         assert dims == [1, 2, 2]
-        assert {tuple(sorted(m.vertex_set)) for m in mf} \
+        assert {tuple(sorted(m)) for m in mf} \
             == {(1, 2, 3), (4, 5, 6), (7, 8)}
 
     def test_join_missing_faces_are_union(self):
         a, b = ss.cycle(5), ss.boundary_simplex(2)
         j = ss.join(a, b)  # b relabeled to 6,7,8
-        got = {tuple(sorted(m.vertex_set)) for m in ss.missing_faces(j)}
-        expect = {tuple(sorted(m.vertex_set)) for m in ss.missing_faces(a)} \
+        got = {tuple(sorted(m)) for m in ss.missing_faces(j)}
+        expect = {tuple(sorted(m)) for m in ss.missing_faces(a)} \
             | {(6, 7, 8)}
         assert got == expect
 
@@ -194,7 +194,7 @@ class TestMissingFaces:
     @given(facet_lists)
     def test_matches_brute_force(self, facets):
         c = ss.from_facets(facets)
-        assert [sorted(m.vertex_set) for m in ss.missing_faces(c)] \
+        assert [sorted(m) for m in ss.missing_faces(c)] \
             == brute_missing_faces(c)
 
     @settings(max_examples=80)
@@ -246,7 +246,7 @@ class TestContraction:
         c = ss.cycle(5)
         assert len(ss.missing_faces(c)) == 5
         square = ss.contract_edge(c, 1, 2)  # 1 and 2 become vertex 6
-        assert [sorted(m.vertex_set) for m in ss.missing_faces(square)] \
+        assert [sorted(m) for m in ss.missing_faces(square)] \
             == [[3, 5], [4, 6]]
         assert len(ss.missing_faces(c)) == 5
 
@@ -254,7 +254,7 @@ class TestContraction:
         # lk(uv) = lk(u) cap lk(v) exactly when uv lies in no missing face
         for c in (ss.cycle(4), ss.boundary_simplex(3),
                   ss.build("octahedron").complex, ss.build("K-2-4").complex):
-            missing = [m.vertex_set for m in ss.missing_faces(c)]
+            missing = ss.missing_faces(c)
             for e in c.faces(1):
                 u, v = sorted(e)
                 lk_e = ss.link(c, e).faces_by_dim
@@ -300,7 +300,7 @@ class TestContractionMissingFaces:
     def test_five_cycle_to_square(self):
         # 35 avoids the edge 12 and stays missing; 4 is adjacent to
         # neither 1 nor 2, so 46 is a new missing edge
-        assert [sorted(m.vertex_set) for m in cc.contraction_missing_faces(ss.cycle(5), 1, 2)] \
+        assert [sorted(m) for m in cc.contraction_missing_faces(ss.cycle(5), 1, 2)] \
             == [[3, 5], [4, 6]]
 
     def test_refuses_like_contract_edge(self):

@@ -173,12 +173,17 @@ class TestInsertInvariants:
         for _ in range(40):
             row = {j: Fraction(rng.randint(-3, 3)) for j in rng.sample(range(12), 4)}
             row = {j: x for j, x in row.items() if x}
-            rr.insert(row)
-        for i, row in enumerate(rr.rows):
-            assert row[rr.pivot_cols[i]] == 1
-            for other_pivot in rr.row_of_pivot:
-                if other_pivot != rr.pivot_cols[i]:
-                    assert other_pivot not in row
+            rank = rr.rank
+            assert rr.insert(row) == (rr.rank == rank + 1)
+            # checked after every insertion, before a later one can hide a fault
+            for pc, stored in rr.rows.items():
+                assert stored[pc] == 1
+                for other_pivot in rr.rows:
+                    if other_pivot != pc:
+                        assert other_pivot not in stored
+            # each column lists exactly the pivots of the rows that use it
+            for c in range(12):
+                assert rr._col_rows.get(c, set()) == {pc for pc, r in rr.rows.items() if c in r}
 
     def test_rows_end_at_their_pivots(self):
         rng = random.Random(2)
@@ -187,7 +192,8 @@ class TestInsertInvariants:
             for _ in range(40):
                 row = {j: rng.randint(1, 6) for j in rng.sample(range(12), 4)}
                 rr.insert(row if modulus else {j: Fraction(x) for j, x in row.items()})
-            assert rr.pivot_cols == [max(row) for row in rr.rows]
+                # after every insertion: once the rank is full, every row is a unit row
+                assert all(pc == max(row) for pc, row in rr.rows.items())
 
 
 def reference_reduce(rr, vec):
@@ -197,9 +203,9 @@ def reference_reduce(rr, vec):
     entry once at the end."""
     p = rr.modulus
     v = {c: x for c, x in vec.items() if x}
-    for c in [c for c in v if c in rr.row_of_pivot]:
+    for c in [c for c in v if c in rr.rows]:
         coef = v.pop(c)
-        for cc, val in rr.rows[rr.row_of_pivot[c]].items():
+        for cc, val in rr.rows[c].items():
             if cc == c:
                 continue
             nv = v.get(cc, 0) - coef * val
@@ -234,7 +240,7 @@ class TestDeferredReduction:
                 assert all(x and (modulus is None or 0 < x < modulus)
                            for x in residual.values())
         assert rr.rank == ref.rank
-        assert rr.pivot_cols == ref.pivot_cols
+        assert list(rr.rows.items()) == list(ref.rows.items())  # same pivots, same order
         assert rr.kernel(range(ncols)) == ref.kernel(range(ncols))
 
 
@@ -265,11 +271,11 @@ def plain_kernel(rows, columns):
     for r in rows:
         rr.insert(r)
     raw = []
-    for fc in (c for c in columns if c not in rr.row_of_pivot):
+    for fc in (c for c in columns if c not in rr.rows):
         vec = {fc: Fraction(1)}
-        for ri, pc in enumerate(rr.pivot_cols):
-            if rr.rows[ri].get(fc):
-                vec[pc] = -rr.rows[ri][fc]
+        for pc, row in rr.rows.items():
+            if row.get(fc):
+                vec[pc] = -row[fc]
         raw.append(vec)
     return leftmost_reference(raw), rr.rank
 

@@ -45,7 +45,7 @@ def glued_sphere():
 def reference_admissible(c):
     """The definition: contract each edge in no missing face, keep it
     when the contracted complex has no missing face above dimension 2."""
-    missing = [m.vertex_set for m in ss.missing_faces(c)]
+    missing = ss.missing_faces(c)
     out = []
     for e in sorted(c.faces(1), key=sorted):
         if not any(e <= m for m in missing):

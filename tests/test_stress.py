@@ -303,9 +303,9 @@ class TestModpFallback:
             converted.append(out is not None)
             return out
 
-        def modp_rank(rows, *args):
+        def modp_rank(rows):
             last.clear()  # any other elimination mod p breaks the pairing
-            return real["modp_rank"](rows, *args)
+            return real["modp_rank"](rows)
 
         def modp_kernel(rows, columns):
             kernel = real["modp_kernel"](rows, columns)
@@ -376,6 +376,20 @@ def q_path(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eliminators(monkeypatch):
+    """The modulus of every ``SparseRREF`` built (None over Q), one
+    entry per elimination, in order."""
+    moduli = []
+
+    class Recording(linalg.SparseRREF):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            moduli.append(self.modulus)
+    monkeypatch.setattr(linalg, "SparseRREF", Recording)
+    return moduli
+
+
 class TestCohenMacaulayCertificate:
     """Dims and socles certified over GF(p) by the lower bound g_k on a
     GF(2)-sphere with an l.s.o.p. embedding; the exact Q path runs
@@ -395,21 +409,15 @@ class TestCohenMacaulayCertificate:
         assert self.dims(c, e) == expected[0][1:]
         assert q_path == {"kernel_basis": 0, "rank_of": 0}
 
-    def test_full_column_rank_mod_p_skips_elimination(self, monkeypatch):
-        # the lower bound 0 holds for any embedding, so a zero kernel mod
-        # p is the exported basis over Q
-        moduli = []
-
-        class Recording(linalg.SparseRREF):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                moduli.append(self.modulus)
-
-        c = build("octahedron").complex
+    @pytest.mark.parametrize("name, k, dim", [("octahedron", 2, 0), ("K-2-5", 3, 1)])
+    def test_exported_basis_is_one_elimination_over_q(self, name, k, dim, eliminators):
+        # an exported basis is eliminated over Q alone, whether the space
+        # is zero or not: no kernel mod p is taken first
+        c = build(name).complex
         e = ss.generic_embedding(c, 1)
-        monkeypatch.setattr(linalg, "SparseRREF", Recording)
-        assert ss.stress_space(c, e, 2).polys == ()
-        assert moduli == [linalg.PRIME]  # no elimination over Q
+        eliminators.clear()
+        assert ss.stress_space(c, e, k).dim == dim
+        assert eliminators == [None]
 
     def test_nonzero_socle_under_nonzero_space_falls_back(self, q_path):
         c = build("K-2-5").complex
@@ -480,7 +488,8 @@ class TestCohenMacaulayCertificate:
     # longer than it
     @pytest.mark.parametrize("name, prime, natural", [
         ("rp2", None, False), ("K-2-4", 3, False), ("cross-4", 2, True)])
-    def test_one_modp_elimination_per_degree(self, name, prime, natural, monkeypatch):
+    def test_one_modp_elimination_per_degree(self, name, prime, natural, monkeypatch,
+                                             eliminators):
         # a kernel mod p that the certificate rejects is not eliminated
         # mod p again on the way to its kernel over Q
         if prime is not None:
@@ -493,16 +502,11 @@ class TestCohenMacaulayCertificate:
         h = st._cohen_macaulay_h(c, e, forms_p)  # its facet minors are ranked mod p too
         assert (h is not None) == natural
         monkeypatch.setattr(st, "_cohen_macaulay_h", lambda c, e, forms_p: h)
-        eliminations = []
-        real = linalg.modp_rank
-
-        def modp_rank(rows, rr=None):
-            eliminations.append(rows)
-            return real(rows, rr)
-        monkeypatch.setattr(linalg, "modp_rank", modp_rank)
+        eliminators.clear()
         assert st.stress_numbers(c, e) == expected
         # one per degree 1..floor(d/2)+1, none for a refused embedding
-        assert len(eliminations) == (0 if forms_p is None else len(expected[0]) - 1)
+        modp = [m for m in eliminators if m is not None]
+        assert len(modp) == (0 if forms_p is None else len(expected[0]) - 1)
 
     @settings(max_examples=100)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",

@@ -192,10 +192,10 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
         finally:
             checking.pop()
 
-    def modp_rank(rows, rr=None):
+    def modp_rank(rows):
         if checking and checking[-1]:
             minors[checking[-1]] += 1
-        return real_rank(rows, rr)
+        return real_rank(rows)
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     monkeypatch.setattr(linalg, "modp_rank", modp_rank)
