@@ -26,7 +26,7 @@ for u, k in ((3, 1), (4, 1)):
     print(f"  g_u = {rep.g_top}, g_1 = {rep.g1}, g_(u-1) = {rep.g_top_minus1}")
     print(f"  level test: {'passes' if rep.level_verdict.holds else 'FAILS'}")
     print(f"    ({rep.level_verdict.detail})")
-    socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, SEED))
+    socle = ss.StressSpaces(rep.complex, ss.generic_embedding(rep.complex, SEED)).socle
     print(f"  stress-space socle by degree: {socle}"
           f"  (nonzero below degree {u}: {not ss.is_level(socle, u).holds})")
     print()

@@ -13,8 +13,8 @@ for name in ("octahedron", "cross-5", "K-2-4", "K-2-5"):
     c = ss.build(name).complex
     d = c.dim + 1
     g = ss.g_vector(c)
-    e = ss.generic_embedding(c, SEED)
-    dims = [ss.stress_dim(c, e, k) for k in range(1, d // 2 + 1)]
+    spaces = ss.StressSpaces(c, ss.generic_embedding(c, SEED))
+    dims = spaces.dims(range(1, d // 2 + 1))
     print(f"{name:<12} stress dims {dims}  vs  g {list(g[1:d // 2 + 1])}")
 
 print("\nSeed stability doubles as a genericity certificate:")
@@ -23,7 +23,7 @@ print("  two seeds on K-2-5, degree 2:",
       ss.certified_stress_dims(c, 2, seed=SEED), "(agreement required)")
 
 poly = ss.build("polytope-1")
-dims = [ss.stress_dim(poly.complex, poly.natural_coords, k) for k in (1, 2, 3)]
+dims = ss.StressSpaces(poly.complex, poly.natural_coords).dims((1, 2, 3))
 print("  natural polytope coordinates give", dims, "for degrees 1..3")
 
 print("\n=== basis elements verify the operator equations directly ===\n")
@@ -40,14 +40,13 @@ print("\n=== socle of the Artinian reduction, computed dually ===\n")
 print("socle dim in degree k = dim S_k minus the rank of the first")
 print("derivatives coming down from degree k+1; below the middle degree")
 print("it equals the number of missing (d-k)-faces.\n")
+socles = {}
 for name in ("octahedron", "K-2-4", "K-2-5"):
     c = ss.build(name).complex
-    e = ss.generic_embedding(c, SEED)
-    print(f"{name:<12} socle {ss.socle_dims(c, e)}   "
+    socles[name] = ss.StressSpaces(c, ss.generic_embedding(c, SEED)).socle
+    print(f"{name:<12} socle {socles[name]}   "
           f"missing-face counts {ss.missing_face_counts(c)}")
-k24 = ss.build("K-2-4").complex
-print("\nK-2-4 is level up to degree 2:",
-      ss.is_level(ss.socle_dims(k24, ss.generic_embedding(k24, SEED)), 2).holds)
+print("\nK-2-4 is level up to degree 2:", ss.is_level(socles["K-2-4"], 2).holds)
 
 print("\n=== star-supported stresses ===\n")
 oct_ = ss.build("octahedron").complex

@@ -26,13 +26,6 @@ class NamedSphere:
     name: str
     complex: SimplicialComplex
     natural_coords: Embedding | None = None
-    expected: InvariantVectors | None = None
-
-    def __post_init__(self):
-        if self.expected is not None:
-            got = invariants(self.complex)
-            if got != self.expected:
-                raise ValueError(f"{self.name}: invariants {got} != expected {self.expected}")
 
 
 def cross_polytope(d: int) -> SimplicialComplex:
@@ -412,4 +405,9 @@ def build(name: str) -> NamedSphere:
     if name not in _REGISTRY:
         raise KeyError(f"unknown catalog name {name!r}")
     sphere = build_family(*_REGISTRY[name])
-    return replace(sphere, name=name, expected=_EXPECTED.get(name))
+    expected = _EXPECTED.get(name)
+    if expected is not None:
+        got = invariants(sphere.complex)
+        if got != expected:
+            raise ValueError(f"{name}: invariants {got} != expected {expected}")
+    return replace(sphere, name=name)

@@ -151,24 +151,27 @@ def cmd_catalog(args) -> int:
 def cmd_stress(args) -> int:
     sphere = _resolve_target(args.target)
     _require_sphere(sphere)
-    c = sphere.complex
+    c, k = sphere.complex, args.degree
     emb = _embedding_for(sphere, args.embedding, args.seed)
-    basis = st.stress_space(c, emb, args.degree)
+    if k < 1:
+        raise CliInputError("stress spaces are computed for degree k >= 1")
     if args.embedding == "generic":
-        st.certified_stress_dims(c, args.degree, args.seed, dim=basis.dim)
+        dim = st.certified_stress_dims(c, k, args.seed)
+    else:
+        dim = st.StressSpaces(c, emb).dims([k])[0]
     g = g_vector(c)
-    expected = g[args.degree] if args.degree < len(g) else None
-    doc = st.basis_to_jsonable(basis)
-    doc.update({"name": sphere.name, "embedding": args.embedding, "seed": args.seed,
-                "g_k": expected})
-    lines = [f"{sphere.name}: dim of degree-{args.degree} stress space = {basis.dim}"
-             + (f" (g_{args.degree} = {expected})" if expected is not None else "")]
-    if args.basis:
+    expected = g[k] if k < len(g) else None
+    lines = [f"{sphere.name}: dim of degree-{k} stress space = {dim}"
+             + (f" (g_{k} = {expected})" if expected is not None else "")]
+    if args.basis:  # the only elimination over Q
+        doc = st.basis_to_jsonable(st.stress_space(c, emb, k))
         for i, entry in enumerate(doc["basis"]):
             lines.append(f"  basis[{i}]: " + ", ".join(
-                f"{k} -> {v}" for k, v in sorted(entry.items())))
-    if not args.basis:
-        doc.pop("basis")
+                f"{mono} -> {coef}" for mono, coef in sorted(entry.items())))
+    else:
+        doc = {"degree": k, "dim": dim, "vertex_order": list(c.vertices)}
+    doc.update({"name": sphere.name, "embedding": args.embedding, "seed": args.seed,
+                "g_k": expected})
     _emit(doc, args.json, lines)
     return EXIT_OK
 
@@ -178,7 +181,7 @@ def cmd_socle(args) -> int:
     _require_sphere(sphere)
     c = sphere.complex
     emb = _embedding_for(sphere, args.embedding, args.seed)
-    soc = st.socle_dims(c, emb)
+    soc = st.StressSpaces(c, emb).socle
     counts = cc.missing_face_counts(c)
     d = c.dim + 1
     expected = [counts.get(d - k, 0) for k in range(len(soc))]

@@ -24,23 +24,18 @@ row by the product of its denominators, a unit mod p, gives an integer
 matrix of the same rank over Q whose reduction has the same rank mod p,
 and a nonzero minor mod p of it is a nonzero integer minor: so
 rank_p <= rank_Q, and the kernel mod p is at least as long as the
-kernel over Q.  This module computes both and accepts neither.  Since
-any p is sound, a rank drop mod p (a nonzero minor over Q that p
-divides) costs only time: the caller falls back to Q.  For coordinates
-that behave randomly mod p it happens about rank/p of the time, near
-10^-6 per matrix of this package.  So PRIME is the largest prime below
-2^30, CPython's int digit: every residue and every pivot coefficient is
-a one-digit int, and ``SparseRREF.reduce`` accumulates its products and
-reduces each residual entry once.  The stress module converts each
-embedding's coordinate forms once (``stress.StressSpaces``) and pairs
-the length of a kernel mod p with a lower bound from theory, 0 or g_k,
-keeping it when the two meet (``stress._stresses``); in every other
-case (a refused conversion, or a kernel mod p longer than the bound)
-the answer comes from ``kernel_basis``, a plain elimination over Q,
-and an exported stress basis (``stress.stress_space``) comes from it
-directly.  Over Q and GF(p) alike, ``SparseRREF`` stores each row under
-its pivot column, and ``SparseRREF.kernel`` reads the canonical kernel
-basis off the free columns.
+kernel over Q.  This module computes both and accepts neither; when a
+kernel mod p is kept is decided in ``stress.StressSpaces``, and
+``kernel_basis`` is a plain elimination over Q.  Since any p is sound,
+a rank drop mod p (a nonzero minor over Q that p divides) costs only
+time: the caller falls back to Q.  For coordinates that behave randomly
+mod p it happens about rank/p of the time, near 10^-6 per matrix of
+this package.  So PRIME is the largest prime below 2^30, CPython's int
+digit: every residue and every pivot coefficient is a one-digit int,
+and ``SparseRREF.reduce`` accumulates its products and reduces each
+residual entry once.  Over Q and GF(p) alike, ``SparseRREF`` stores
+each row under its pivot column, and ``SparseRREF.kernel`` reads the
+canonical kernel basis off the free columns.
 """
 
 from __future__ import annotations

@@ -12,28 +12,28 @@ coefficients in [0, p).  The cone-lift check is a span-membership test
 (an empty ``SparseRREF.reduce`` residual), not a linear solve.
 
 Dimensions and socles need no basis over Q when a certificate settles
-them, and one function, ``_stresses``, decides it for each degree.  A
-rank mod p is at most the rank over Q, so the kernel mod p of the
-operator matrix is at least as long as the kernel over Q: its length is
-an upper bound on the stress dimension.  The lower bound is 0 for any
-embedding.  On a GF(2)-homology sphere (by universal coefficients a
-Q-homology sphere, and so are its links) whose embedding passes the
-Kind-Kleinschmidt (1979) l.s.o.p. test (every facet's coordinate minor
-nonzero mod p), the face ring is Cohen-Macaulay (Reisner 1976), the
-Artinian reduction has dim A_k = h_k (Stanley 1996), and the degree-k
-affine stresses, dual to A_k / omega A_{k-1} (Lee 1996), have dimension
-at least g_k = h_k - h_{k-1}.  When the two bounds meet, that is the
-dimension over Q and the kernel mod p is kept, so a
-``stress-dim-equals-g`` PASS rests on these theorems plus a kernel mod
-p, not on a kernel over Q.  A kept kernel mod p then bounds the rank of
-the derivative spans from below, which settles a zero socle (see
-``stress_numbers``).  Anything else (a non-sphere, a singular facet
-minor, a denominator divisible by p, a kernel mod p longer than the
-bound, a nonzero socle under a nonzero space) is computed by exact
-elimination over Q.
+them, and one method, ``StressSpaces.stresses``, decides it for each
+degree.  A rank mod p is at most the rank over Q, so the kernel mod p
+of the operator matrix is at least as long as the kernel over Q: its
+length is an upper bound on the stress dimension.  The lower bound is
+0 for any embedding.  On a GF(2)-homology sphere (by universal
+coefficients a Q-homology sphere, and so are its links) whose embedding
+passes the Kind-Kleinschmidt (1979) l.s.o.p. test (every facet's
+coordinate minor nonzero mod p), the face ring is Cohen-Macaulay
+(Reisner 1976), the Artinian reduction has dim A_k = h_k (Stanley
+1996), and the degree-k affine stresses, dual to A_k / omega A_{k-1}
+(Lee 1996), have dimension at least g_k = h_k - h_{k-1}.  When the two
+bounds meet, that is the dimension over Q and the kernel mod p is kept,
+so a ``stress-dim-equals-g`` PASS rests on these theorems plus a kernel
+mod p, not on a kernel over Q.  A kept kernel mod p then bounds the
+rank of the derivative spans from below, which settles a zero socle
+(see ``StressSpaces.socle``).  Anything else (a non-sphere, a singular
+facet minor, a denominator divisible by p, a kernel mod p longer than
+the bound, a nonzero socle under a nonzero space) is computed by exact
+elimination over Q, so a rank that drops mod p costs only time.
 
 Each embedding's coordinates are converted mod p once, where their
-denominators are: ``_modp_forms`` passes the theta forms through
+denominators are: ``StressSpaces`` passes the theta forms through
 ``linalg.to_modp``, which refuses the embedding when a denominator is
 divisible by p.  The facet minors of the l.s.o.p. test and the operator
 rows mod p are built from the converted values (an entry mult * a is
@@ -42,16 +42,16 @@ sound for any p: a coordinate a/b with p not dividing b makes every
 entry mult * a/b p-integral, reduction mod p is a ring map on those
 entries, so the rows built mod p are the reduction of the rows over Q.
 Every vertex meets some column, so refusing a coordinate is at least as
-strict as refusing an entry.  ``StressSpaces`` holds one embedding's
-converted forms, its lower bound and its stresses by degree, each
-computed at most once; ``stress_dims`` and ``stress_numbers`` read a
-fresh one, and ``verify`` keeps one per complex for a whole run.
+strict as refusing an entry.  A ``StressSpaces`` holds one embedding's
+converted forms, its lower bound, its stresses by degree and its socle,
+each computed at most once; a caller holds one per embedding, and
+``verify`` keeps one per complex for a whole run.
 
 The exported bases (``stress_space``, and through it
 ``derivative_span_dim``, ``cone_lift_check``, ``star_stress_witness``
 and the support counterexample) are exact kernels over Q, eliminated
-over Q alone (``_exact_stresses``); only ``StressSpaces`` goes through
-``_stresses``.
+over Q alone (``_exact_stresses``); only ``StressSpaces`` takes a
+kernel mod p.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -144,10 +144,6 @@ def theta_forms(e: Embedding) -> list[dict[int, Fraction]]:
 # Monomials and stress polynomials
 # ---------------------------------------------------------------------------
 
-def monomial_support(mu: Monomial) -> frozenset[int]:
-    return frozenset(mu)
-
-
 def _remove_one(mu: Monomial, v: int) -> Monomial:
     out = list(mu)
     out.remove(v)
@@ -196,7 +192,7 @@ class StressPolynomial:
     def participates(self, tau) -> bool:
         """True when some nonzero term's support contains the face tau."""
         t = frozenset(tau)
-        return any(t <= monomial_support(mu) for mu in self.terms)
+        return any(t <= frozenset(mu) for mu in self.terms)
 
     def support_vertices(self) -> frozenset[int]:
         out: set[int] = set()
@@ -258,7 +254,7 @@ def is_stress(c: SimplicialComplex, e: Embedding, omega: StressPolynomial) -> bo
     computed bases.
     """
     for mu in omega.terms:
-        if not c.is_face(monomial_support(mu)):
+        if not c.is_face(frozenset(mu)):
             return False
     return all(not _apply_form(omega.terms, f) for f in theta_forms(e))
 
@@ -293,8 +289,8 @@ def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None
     """Rows of the stacked operator matrix over the columns ``cols``: one
     per (linear form, degree-(k-1) monomial) pair that some column hits.
     The ``forms`` are ``theta_forms`` over Q, or their images mod ``p``
-    (see ``_modp_forms``), and the entries mult * a are then reduced mod
-    ``p``: the entrywise reduction of the rows over Q."""
+    (``StressSpaces.forms_p``), and the entries mult * a are then
+    reduced mod ``p``: the entrywise reduction of the rows over Q."""
     rows: dict[tuple[int, Monomial], dict] = {}
     for ci, mu in enumerate(cols):
         for v, mult in _multiplicities(mu):
@@ -314,19 +310,11 @@ def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None
     return list(rows.values())
 
 
-def _modp_forms(e: Embedding) -> list[dict[int, int]] | None:
-    """``theta_forms(e)`` converted to GF(PRIME) by ``linalg.to_modp``,
-    None when a coordinate's denominator is divisible by PRIME.  Every
-    vertex meets some operator column, so refusing a coordinate is at
-    least as strict as refusing an entry of the operator rows over Q."""
-    return linalg.to_modp(theta_forms(e))
-
-
 def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding,
                       forms_p: list[dict] | None) -> list[int] | None:
     """The h-vector of ``c`` when the stress dimensions of ``e`` are
     bounded below by it, None otherwise; ``forms_p`` is
-    ``_modp_forms(e)``.
+    ``StressSpaces.forms_p``.
 
     The bound needs ``c`` pure and a GF(2)-homology sphere, hence a
     Q-homology sphere whose face ring is Cohen-Macaulay (Reisner 1976),
@@ -369,50 +357,47 @@ def _exact_stresses(e: Embedding, cols: list[Monomial]) -> list[dict]:
     return _kernel_terms(cols, linalg.kernel_basis(rows, range(len(cols))))
 
 
-def _stresses(c: SimplicialComplex, e: Embedding, k: int, h: list[int] | None,
-              forms_p: list[dict] | None) -> tuple[list[dict], bool]:
-    """The degree-k stresses of ``e`` as term dicts in graded-lex order,
-    and whether they are a kernel over Q rather than mod p.
-
-    The operator rows are built mod p from ``forms_p`` (``_modp_forms(e)``)
-    and their kernel mod p taken; it is at least as long as the kernel
-    over Q.  When its length meets the proven lower bound
-    ``_dim_lower_bound(h, k)``, it is kept: its length is the dimension,
-    and an empty one is also the kernel over Q.  Otherwise, or when
-    ``forms_p`` is None, the rows are built over Q and their exact
-    kernel is returned.  This is the one place a kernel mod p is
-    accepted."""
-    cols = face_monomials(c, k)
-    if forms_p is not None:
-        rows = _operator_rows(forms_p, cols, linalg.PRIME)
-        kernel = linalg.modp_kernel(rows, range(len(cols)))
-        if len(kernel) == _dim_lower_bound(h, k):
-            return _kernel_terms(cols, kernel), False
-    return _exact_stresses(e, cols), True
-
-
 class StressSpaces:
     """The stress spaces of one embedded complex, each computed at most
-    once: the embedding's forms are converted mod p once (``forms_p``),
+    once: the embedding's theta forms are converted mod p once
+    (``forms_p``, None when ``linalg.to_modp`` refuses a denominator),
     the lower bound of ``_cohen_macaulay_h`` is checked once (``h``),
-    ``_stresses`` runs at most once per degree, and the socle once
-    (``numbers``).  ``stress_dims`` and ``stress_numbers`` read a fresh
-    one; a caller that asks one embedding for several things keeps its
-    own."""
+    each degree's stresses are found at most once (``stresses``), and
+    the socle once (``socle``)."""
 
     def __init__(self, c: SimplicialComplex, e: Embedding):
         self.complex = c
         self.embedding = e
-        self.forms_p = _modp_forms(e)
+        self.forms_p = linalg.to_modp(theta_forms(e))
         self.h = _cohen_macaulay_h(c, e, self.forms_p)
         self._by_degree: dict[int, tuple[list[dict], bool]] = {}
 
     def stresses(self, k: int) -> tuple[list[dict], bool]:
-        """``_stresses`` in degree k >= 1, computed on the first request."""
-        if k not in self._by_degree:
-            self._by_degree[k] = _stresses(self.complex, self.embedding, k, self.h,
-                                           self.forms_p)
-        return self._by_degree[k]
+        """The degree-k stresses (k >= 1) as term dicts in graded-lex
+        order, and whether they are a kernel over Q rather than mod p;
+        computed on the first request.
+
+        The operator rows are built mod p from ``forms_p`` and their
+        kernel mod p taken; it is at least as long as the kernel over Q.
+        When its length meets the proven lower bound
+        ``_dim_lower_bound(h, k)``, it is kept: its length is the
+        dimension, and an empty one is also the kernel over Q.
+        Otherwise, or when ``forms_p`` is None, the rows are built over
+        Q and their exact kernel is returned.  This is the one place a
+        kernel mod p is accepted."""
+        if k in self._by_degree:
+            return self._by_degree[k]
+        cols = face_monomials(self.complex, k)
+        found = None
+        if self.forms_p is not None:
+            rows = _operator_rows(self.forms_p, cols, linalg.PRIME)
+            kernel = linalg.modp_kernel(rows, range(len(cols)))
+            if len(kernel) == _dim_lower_bound(self.h, k):
+                found = _kernel_terms(cols, kernel), False
+        if found is None:
+            found = _exact_stresses(self.embedding, cols), True
+        self._by_degree[k] = found
+        return found
 
     def dims(self, degrees) -> list[int]:
         """The stress dimension in each of ``degrees``."""
@@ -420,11 +405,22 @@ class StressSpaces:
         return [len(self.stresses(k)[0]) if k else 1 for k in degrees]
 
     @functools.cached_property
-    def numbers(self) -> tuple[list[int], list[int]]:
-        """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
-        vector in degrees 0..floor(d/2); see ``stress_numbers``."""
+    def socle(self) -> list[int]:
+        """The socle vector in degrees 0..floor(d/2).
+
+        The socle in degree k is the degree-k dimension minus the rank
+        of the derivatives of the degree-(k+1) stresses (the socle of
+        the Artinian reduction, computed dually).  Under a zero
+        degree-(k+1) space the socle is the whole degree-k space.  A
+        degree-(k+1) kernel that ``stresses`` kept mod p is the
+        reduction of the p-integral stresses over Q, so the rank mod p
+        of its derivatives is at most their rank over Q: reaching the
+        degree-k dimension proves the degree-k socle 0.  Every other
+        socle is computed over Q, from the degree-(k+1) rows eliminated
+        over Q.
+        """
         half = (self.complex.dim + 1) // 2
-        dims = self.dims(range(half + 2))
+        dims = self.dims(range(half + 1))
         socle = []
         for k in range(half + 1):
             terms, over_q = self.stresses(k + 1)
@@ -437,30 +433,16 @@ class StressSpaces:
                 if not over_q:  # kept mod p, but its derivatives fall short
                     terms = _exact_stresses(self.embedding, face_monomials(self.complex, k + 1))
                 socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
-        return dims, socle
+        return socle
 
 
-def stress_dims(c: SimplicialComplex, e: Embedding, degrees) -> list[int]:
-    """Dimension of the degree-k stress space for each k in ``degrees``,
-    certified mod p where ``_stresses`` can (``StressSpaces.dims``)."""
-    return StressSpaces(c, e).dims(degrees)
-
-
-def stress_dim(c: SimplicialComplex, e: Embedding, k: int) -> int:
-    """Dimension of the degree-k stress space (``stress_dims`` of one degree)."""
-    return stress_dims(c, e, [k])[0]
-
-
-def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
-                          dim: int | None = None) -> int:
+def certified_stress_dims(c: SimplicialComplex, k: int, seed: int) -> int:
     """Stress dimension under the generic embeddings of ``seed`` and
     ``seed + SECOND_SEED_OFFSET``; a mismatch means at least one
-    embedding is degenerate and raises.  A caller that already has the
-    first seed's dimension passes it as ``dim``."""
+    embedding is degenerate and raises."""
     second = seed + SECOND_SEED_OFFSET
-    if dim is None:
-        dim = stress_dim(c, generic_embedding(c, seed), k)
-    other = stress_dim(c, generic_embedding(c, second), k)
+    dim, other = (StressSpaces(c, generic_embedding(c, s)).dims([k])[0]
+                  for s in (seed, second))
     if dim != other:
         raise DegenerateEmbeddingError(
             f"degenerate embedding: dims {dim} (seed {seed}) vs {other} (seed {second})")
@@ -468,7 +450,7 @@ def certified_stress_dims(c: SimplicialComplex, k: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Derivative spans, socle, level test
+# Derivative spans and the level test
 # ---------------------------------------------------------------------------
 
 def _derivatives(polys, p: int | None = None) -> list[dict]:
@@ -503,31 +485,8 @@ def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
     return linalg.rank_of(_derivatives(p.terms for p in basis_above.polys))
 
 
-def stress_numbers(c: SimplicialComplex, e: Embedding) -> tuple[list[int], list[int]]:
-    """The stress dimensions in degrees 0..floor(d/2)+1 and the socle
-    vector in degrees 0..floor(d/2); only the integers are returned
-    (``StressSpaces.numbers``).
-
-    The socle in degree k is the degree-k dimension minus the rank of
-    the derivatives of the degree-(k+1) stresses (the socle of the
-    Artinian reduction, computed dually).  Under a zero degree-(k+1)
-    space the socle is the whole degree-k space.  A degree-(k+1) kernel
-    that ``_stresses`` kept mod p is the reduction of the p-integral
-    stresses over Q, so the rank mod p of its derivatives is at most
-    their rank over Q: reaching the degree-k dimension proves the
-    degree-k socle 0.  Every other socle is computed over Q, from the
-    degree-(k+1) rows eliminated over Q.
-    """
-    return StressSpaces(c, e).numbers
-
-
-def socle_dims(c: SimplicialComplex, e: Embedding) -> list[int]:
-    """The socle vector of ``stress_numbers``, in degrees 0..floor(d/2)."""
-    return stress_numbers(c, e)[1]
-
-
 def is_level(soc: list[int], up_to: int) -> SequenceVerdict:
-    """True when the socle vector ``soc`` (of ``socle_dims``) vanishes
+    """True when the socle vector ``soc`` (a ``StressSpaces.socle``) vanishes
     strictly below degree up_to, which must not exceed its top degree."""
     if up_to >= len(soc):
         raise ValueError(f"up_to must be at most the top socle degree {len(soc) - 1}")

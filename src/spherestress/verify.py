@@ -213,8 +213,8 @@ def rows_stress(seed: int, build, spaces) -> list[CheckRow]:
         g = g_vector(c)
         degrees = range(d // 2 + 1)
         dims = spaces(c).dims(degrees)
-        second = st.stress_dims(c, st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET),
-                                degrees)
+        second = st.StressSpaces(c, st.generic_embedding(c, seed + st.SECOND_SEED_OFFSET)
+                                 ).dims(degrees)
         for k in degrees[1:]:
             d1, d2 = dims[k], second[k]
             rows.append(CheckRow("stress-dim-seed-stable", f"{name}[k={k}]",
@@ -223,7 +223,7 @@ def rows_stress(seed: int, build, spaces) -> list[CheckRow]:
                                  _fmt(d1), _fmt(g[k]), d1 == g[k]))
     poly = build("polytope-1")
     g = g_vector(poly.complex)
-    dims = st.stress_dims(poly.complex, poly.natural_coords, (1, 2, 3))
+    dims = st.StressSpaces(poly.complex, poly.natural_coords).dims((1, 2, 3))
     rows.append(CheckRow("stress-dim-natural", "polytope-1[k=1..3]",
                          _fmt(dims), _fmt([g[1], g[2], g[3]]),
                          dims == [g[1], g[2], g[3]] == [2, 3, 1]))
@@ -232,7 +232,7 @@ def rows_stress(seed: int, build, spaces) -> list[CheckRow]:
         c = sphere.complex
         g = g_vector(c)
         d = c.dim + 1
-        dims = st.stress_dims(c, sphere.natural_coords, range(1, d // 2 + 1))
+        dims = st.StressSpaces(c, sphere.natural_coords).dims(range(1, d // 2 + 1))
         rows.append(CheckRow("stress-dim-natural", name, _fmt(dims),
                              _fmt(g[1:d // 2 + 1]), dims == list(g[1:d // 2 + 1])))
     return rows
@@ -256,7 +256,7 @@ def rows_socle(seed: int, build, spaces) -> list[CheckRow]:
     for name in cat.RESIDUAL:
         c = build(name).complex
         d = c.dim + 1
-        soc = spaces(c).numbers[1]
+        soc = spaces(c).socle
         counts = cc.missing_face_counts(c)
         for k in range(d // 2 + 1):
             relation = socle_relation(d, k)
@@ -265,7 +265,7 @@ def rows_socle(seed: int, build, spaces) -> list[CheckRow]:
                 m = counts.get(d - k, 0)
                 rows.append(CheckRow(check_id, f"{name}[k={k}]", _fmt(soc[k]), _fmt(m),
                                      holds(soc[k], m)))
-    verdict = st.is_level(spaces(build("K-2-4").complex).numbers[1], 2)
+    verdict = st.is_level(spaces(build("K-2-4").complex).socle, 2)
     rows.append(CheckRow("level-up-to-socle-degree", "K-2-4[up_to=2]",
                          str(verdict.holds), "True", verdict.holds, note=verdict.detail))
     return rows
@@ -351,7 +351,7 @@ def rows_counterexample_level(seed: int, build, spaces, u: int, k: int) -> list[
                  not rep.level_verdict.holds, note=rep.level_verdict.detail),
     ]
     if u <= 4:  # desk-scale cap on the socle
-        soc = spaces(rep.complex).numbers[1]
+        soc = spaces(rep.complex).socle
         rows.append(CheckRow("counterexample-level-socle", rep.name, _fmt(soc),
                              f"nonzero below degree {u}", not st.is_level(soc, u).holds))
     return rows

@@ -63,15 +63,14 @@ def test_criterion_04_stress_dimensions():
         c = ss.build(name).complex
         d = c.dim + 1
         g = ss.g_vector(c)
-        e1 = ss.generic_embedding(c, SEED)
-        e2 = ss.generic_embedding(c, SEED2)
-        for k in range(1, d // 2 + 1):
-            d1 = ss.stress_dim(c, e1, k)
-            d2 = ss.stress_dim(c, e2, k)
+        degrees = range(1, d // 2 + 1)
+        dims1 = ss.StressSpaces(c, ss.generic_embedding(c, SEED)).dims(degrees)
+        dims2 = ss.StressSpaces(c, ss.generic_embedding(c, SEED2)).dims(degrees)
+        for k, d1, d2 in zip(degrees, dims1, dims2):
             assert d1 == d2 == g[k], (name, k)
             cases += 1
     poly = ss.build("polytope-1")
-    dims = [ss.stress_dim(poly.complex, poly.natural_coords, k) for k in (1, 2, 3)]
+    dims = ss.StressSpaces(poly.complex, poly.natural_coords).dims((1, 2, 3))
     assert dims == [2, 3, 1]
     _report(4, f"stress dims equal g_k under two seeds in {cases} cases; "
                "natural dims of the support polytope are (2, 3, 1)")
@@ -82,7 +81,7 @@ def test_criterion_05_socle_and_level():
     for name in RESIDUAL_NAMES:
         c = ss.build(name).complex
         d = c.dim + 1
-        soc = socles[name] = ss.socle_dims(c, ss.generic_embedding(c, SEED))
+        soc = socles[name] = ss.StressSpaces(c, ss.generic_embedding(c, SEED)).socle
         counts = ss.missing_face_counts(c)
         for k in range((d - 1) // 2):
             assert soc[k] == counts.get(d - k, 0), (name, k)
@@ -97,7 +96,7 @@ def test_criterion_06_level_counterexample():
     assert rep.g_top == 1
     assert (rep.g1, rep.g_top_minus1) == (2, 3)
     assert not rep.level_verdict.holds
-    socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, SEED))
+    socle = ss.StressSpaces(rep.complex, ss.generic_embedding(rep.complex, SEED)).socle
     assert not ss.is_level(socle, 3).holds  # nonzero below degree u = 3
     _report(6, "g of the 9-vertex join sphere is (1,2,3,1), matches the band "
                "formula, ends in 1, and fails the level test via asymmetry")

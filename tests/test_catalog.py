@@ -1,10 +1,12 @@
 """Tests for the named-sphere catalog and the two counterexample verifiers."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import spherestress as ss
+from spherestress import catalog as cat
 from spherestress import verify as ver
 
 
@@ -109,7 +111,7 @@ class TestLevelCounterexample:
         assert (rep.g1, rep.g_top_minus1) == (2, 3)
         assert not rep.level_verdict.holds
         assert rep.reproduced
-        socle = ss.socle_dims(rep.complex, ss.generic_embedding(rep.complex, 7))
+        socle = ss.StressSpaces(rep.complex, ss.generic_embedding(rep.complex, 7)).socle
         assert socle == [0, 0, 1, 1]
         assert not ss.is_level(socle, 3).holds
 
@@ -172,8 +174,9 @@ class TestSupportCounterexample:
         sphere = ss.build_counterexample_polytope(2)
         g = ss.g_vector(sphere.complex)
         assert list(g) == [1, 2, 3, 3, 3, 1]
+        spaces = ss.StressSpaces(sphere.complex, sphere.natural_coords)
         for k in range(1, 6):
-            assert ss.stress_dim(sphere.complex, sphere.natural_coords, k) == g[k]
+            assert spaces.dims([k]) == [g[k]], k
 
 
 class TestRegistry:
@@ -194,9 +197,16 @@ class TestRegistry:
             ss.build_family("widget", [1])
 
     def test_expected_invariants_validated(self):
-        # these builders carry pinned expected vectors and verify on build
+        # these names carry pinned invariants, and build checks them: a
+        # wrong pinned entry makes it raise
         for name in ("octahedron", "K-2-4", "K-2-5"):
-            assert ss.build(name).expected is not None
+            pinned = cat._EXPECTED[name]
+            assert ss.invariants(ss.build(name).complex) == pinned
+            wrong = dataclasses.replace(pinned, f=pinned.f[:-1] + (pinned.f[-1] + 1,))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(cat._EXPECTED, name, wrong)
+                with pytest.raises(ValueError, match=f"{name}: invariants"):
+                    ss.build(name)
 
     def test_natural_coordinate_dimensions(self):
         for name in ("octahedron", "cross-5", "polytope-1"):

@@ -8,6 +8,7 @@ import pytest
 
 import spherestress as ss
 from spherestress import cli
+from spherestress import linalg
 from spherestress.verify import EXPLAIN
 
 
@@ -208,11 +209,40 @@ class TestStressAndSocle:
         assert doc["dim"] == 2 == doc["g_k"]
         assert len(doc["basis"]) == 2
 
-    def test_degenerate_embedding_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.st, "stress_dim", lambda *a, **k: 99)
+    def test_degenerate_embedding_exits_3(self, capsys, degenerate_second_seed):
+        # the second seed puts the octahedron's vertices in a plane, where
+        # the degree-1 stresses jump from g_1 = 2 to 3
         code, _, err = run(capsys, "stress", "octahedron", "--degree", "1")
         assert code == 3
-        assert "degenerate" in err
+        assert "degenerate embedding: dims 2 (seed 17) vs 3" in err
+
+    # the dimension comes from the certificates mod p; only a printed
+    # basis is eliminated over Q
+    @pytest.mark.parametrize("basis", [False, True], ids=["dim", "basis"])
+    @pytest.mark.parametrize("argv, dim", [
+        pytest.param(["cross-5", "--degree", "2"], 5, id="cross-5"),
+        pytest.param(["polytope-1", "--degree", "3", "--embedding", "natural"], 1,
+                     id="polytope-1-natural")])
+    def test_only_the_basis_is_eliminated_over_q(self, capsys, monkeypatch, argv, dim, basis):
+        eliminations = []
+        real = linalg.kernel_basis
+
+        def kernel_basis(rows, columns):
+            eliminations.append(len(columns))
+            return real(rows, columns)
+        monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
+        code, out, _ = run(capsys, "stress", *argv, "--json", *(["--basis"] if basis else []))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == dim
+        assert len(doc.get("basis", [])) == (dim if basis else 0)
+        assert len(eliminations) == int(basis)
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_exits_2(self, capsys, degree):
+        code, out, err = run(capsys, "stress", "K-2-4", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err == "error: stress spaces are computed for degree k >= 1\n"
 
     def test_natural_unavailable_exits_2(self, capsys):
         code, _, err = run(capsys, "stress", "K-2-4", "--degree", "1",

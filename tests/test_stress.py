@@ -16,6 +16,13 @@ def build(name):
     return ss.build(name)
 
 
+def numbers(spaces):
+    """The stress dimensions of ``spaces`` in degrees 0..floor(d/2)+1,
+    and its socle vector."""
+    half = (spaces.complex.dim + 1) // 2
+    return spaces.dims(range(half + 2)), spaces.socle
+
+
 class TestDimensionsEqualG:
     CASES = ["octahedron", "cross-4", "K-2-4", "K-2-5", "cyclejoin-3-4"]
 
@@ -25,30 +32,29 @@ class TestDimensionsEqualG:
         d = c.dim + 1
         g = ss.g_vector(c)
         for seed in (1, 2):
-            e = ss.generic_embedding(c, seed)
+            spaces = ss.StressSpaces(c, ss.generic_embedding(c, seed))
             for k in range(1, d // 2 + 1):
-                assert ss.stress_dim(c, e, k) == g[k], (name, seed, k)
+                assert spaces.dims([k]) == [g[k]], (name, seed, k)
 
     def test_simplex_boundary_is_stress_free(self):
         b3 = ss.boundary_simplex(3)
         e = ss.generic_embedding(b3, 5)
-        assert ss.stress_dim(b3, e, 1) == 0
+        assert ss.StressSpaces(b3, e).dims([1]) == [0]
 
     def test_natural_embeddings(self):
         oct_ = build("octahedron")
-        assert ss.stress_dim(oct_.complex, oct_.natural_coords, 1) == 2
+        assert ss.StressSpaces(oct_.complex, oct_.natural_coords).dims([1]) == [2]
         poly = build("polytope-1")
-        dims = [ss.stress_dim(poly.complex, poly.natural_coords, k) for k in (1, 2, 3)]
-        assert dims == [2, 3, 1]
+        assert ss.StressSpaces(poly.complex, poly.natural_coords).dims((1, 2, 3)) == [2, 3, 1]
 
     def test_certified_dims(self):
         c = build("K-2-4").complex
         assert ss.certified_stress_dims(c, 2, seed=3) == 2
 
-    def test_certificate_failure_raises(self, monkeypatch):
-        calls = iter([2, 5])
-        monkeypatch.setattr(ss.stress, "stress_dim", lambda *a, **k: next(calls))
-        with pytest.raises(ss.DegenerateEmbeddingError):
+    def test_certificate_failure_raises(self, degenerate_second_seed):
+        # the octahedron's six vertices in a plane have a 3-dimensional
+        # space of affine dependencies, against g_1 = 2
+        with pytest.raises(ss.DegenerateEmbeddingError, match="dims 2 .* vs 3"):
             ss.stress.certified_stress_dims(build("octahedron").complex, 1, seed=1)
 
 
@@ -150,14 +156,14 @@ class TestSocleAndLevel:
                                ("K-2-5", [0, 0, 1, 1])):
             sphere = build(name)
             e = ss.generic_embedding(sphere.complex, 7)
-            assert ss.socle_dims(sphere.complex, e) == expected, name
+            assert ss.StressSpaces(sphere.complex, e).socle == expected, name
 
     def test_socle_middle_degree_with_nonzero_missing_count(self):
         # suspension of a boundary 3-simplex: one missing 3-face, and at the
         # middle degree k = 1 the socle meets the count with equality here
         c = ss.suspension(ss.boundary_simplex(3))
         e = ss.generic_embedding(c, 3)
-        soc = ss.socle_dims(c, e)
+        soc = ss.StressSpaces(c, e).socle
         counts = ss.missing_face_counts(c)
         assert counts[3] == 1
         assert soc[1] >= counts[3]
@@ -169,7 +175,7 @@ class TestSocleAndLevel:
         c = ss.join(ss.boundary_simplex(5), ss.cycle(4))
         assert c.dim == 6
         e = ss.generic_embedding(c, 11)
-        soc = ss.socle_dims(c, e)
+        soc = ss.StressSpaces(c, e).socle
         counts = ss.missing_face_counts(c)
         assert counts[5] == 1
         assert soc[2] == 1
@@ -180,7 +186,7 @@ class TestSocleAndLevel:
             c = build(name).complex
             d = c.dim + 1
             e = ss.generic_embedding(c, 5)
-            soc = ss.socle_dims(c, e)
+            soc = ss.StressSpaces(c, e).socle
             counts = ss.missing_face_counts(c)
             for k in range((d - 1) // 2):
                 assert soc[k] == counts.get(d - k, 0), (name, k)
@@ -190,19 +196,19 @@ class TestSocleAndLevel:
     def test_is_level(self):
         k24 = build("K-2-4")
         e = ss.generic_embedding(k24.complex, 3)
-        assert ss.is_level(ss.socle_dims(k24.complex, e), 2).holds
+        assert ss.is_level(ss.StressSpaces(k24.complex, e).socle, 2).holds
         k25 = build("K-2-5")
         e25 = ss.generic_embedding(k25.complex, 3)
-        verdict = ss.is_level(ss.socle_dims(k25.complex, e25), 3)
+        verdict = ss.is_level(ss.StressSpaces(k25.complex, e25).socle, 3)
         assert not verdict.holds and verdict.failing_index == 2
 
     def test_is_level_trivial_cut(self):
         b4 = ss.boundary_simplex(4)
-        assert ss.is_level(ss.socle_dims(b4, ss.generic_embedding(b4, 1)), 0).holds
+        assert ss.is_level(ss.StressSpaces(b4, ss.generic_embedding(b4, 1)).socle, 0).holds
 
     def test_is_level_range(self):
         c = build("octahedron").complex
-        soc = ss.socle_dims(c, ss.generic_embedding(c, 1))  # degrees 0..1
+        soc = ss.StressSpaces(c, ss.generic_embedding(c, 1)).socle  # degrees 0..1
         assert ss.is_level(soc, 1).holds
         with pytest.raises(ValueError):
             ss.is_level(soc, 2)
@@ -274,9 +280,9 @@ class TestModpFallback:
     @staticmethod
     def snapshot(c, e):
         top = (c.dim + 1) // 2 + 1
-        dims = [ss.stress_dim(c, e, k) for k in range(1, top + 1)]
+        spaces = ss.StressSpaces(c, e)
         bases = [[p.terms for p in ss.stress_space(c, e, k).polys] for k in range(1, top + 1)]
-        return dims, bases, ss.socle_dims(c, e)
+        return spaces.dims(range(1, top + 1)), bases, spaces.socle
 
     @staticmethod
     def embeddings(c):
@@ -331,7 +337,7 @@ class TestModpFallback:
 
 
 def q_numbers(c, e):
-    """``stress_numbers`` computed over Q alone: one exact stress basis per
+    """``numbers`` computed over Q alone: one exact stress basis per
     degree and the exact rank of each derivative span."""
     half = (c.dim + 1) // 2
     spaces = {k: ss.stress_space(c, e, k) for k in range(1, half + 2)}
@@ -397,7 +403,7 @@ class TestCohenMacaulayCertificate:
 
     @staticmethod
     def dims(c, e):
-        return [ss.stress_dim(c, e, k) for k in range(1, (c.dim + 1) // 2 + 2)]
+        return ss.StressSpaces(c, e).dims(range(1, (c.dim + 1) // 2 + 2))
 
     @pytest.mark.parametrize("name", ["octahedron", "cross-4", "K-2-4", "cyclejoin-3-4"])
     def test_certified_spheres_skip_q(self, name, q_path):
@@ -405,7 +411,7 @@ class TestCohenMacaulayCertificate:
         e = ss.generic_embedding(c, 1)
         expected = q_numbers(c, e)
         q_path.update(kernel_basis=0, rank_of=0)
-        assert st.stress_numbers(c, e) == expected
+        assert numbers(st.StressSpaces(c, e)) == expected
         assert self.dims(c, e) == expected[0][1:]
         assert q_path == {"kernel_basis": 0, "rank_of": 0}
 
@@ -424,7 +430,7 @@ class TestCohenMacaulayCertificate:
         e = ss.generic_embedding(c, 7)
         expected = q_numbers(c, e)
         q_path.update(kernel_basis=0, rank_of=0)
-        assert st.stress_numbers(c, e) == expected
+        assert numbers(st.StressSpaces(c, e)) == expected
         assert expected[1] == [0, 0, 1, 1]
         # only the degree-2 socle: one exact degree-3 basis, one exact span
         assert q_path == {"kernel_basis": 1, "rank_of": 1}
@@ -442,7 +448,7 @@ class TestCohenMacaulayCertificate:
             kernels.append(len(columns))
             return real(rows, columns)
         monkeypatch.setattr(linalg, "modp_kernel", modp_kernel)
-        dims, socle = st.stress_numbers(c, e)
+        dims, socle = numbers(st.StressSpaces(c, e))
         assert socle == [0, 0, 1, 1]
         assert len(kernels) == len(dims) - 1 == 4  # one per degree 1..4
 
@@ -451,7 +457,7 @@ class TestCohenMacaulayCertificate:
         dims = expected[0][1:]
         nonzero = sum(1 for x in dims if x)
         q_path.update(kernel_basis=0, rank_of=0)
-        assert st.stress_numbers(c, e) == expected
+        assert numbers(st.StressSpaces(c, e)) == expected
         # every nonzero kernel is eliminated over Q, and no degree twice
         assert nonzero <= q_path["kernel_basis"] <= len(dims)
         q_path.update(kernel_basis=0, rank_of=0)
@@ -497,16 +503,14 @@ class TestCohenMacaulayCertificate:
         c = ss.from_facets(RP2) if name == "rp2" else build(name).complex
         e = build(name).natural_coords if natural else ss.generic_embedding(c, 1)
         expected = q_numbers(c, e)
-        forms_p = st._modp_forms(e)
-        assert (forms_p is None) == (name == "K-2-4")
-        h = st._cohen_macaulay_h(c, e, forms_p)  # its facet minors are ranked mod p too
-        assert (h is not None) == natural
-        monkeypatch.setattr(st, "_cohen_macaulay_h", lambda c, e, forms_p: h)
+        spaces = st.StressSpaces(c, e)  # its facet minors are ranked mod p too
+        assert (spaces.forms_p is None) == (name == "K-2-4")
+        assert (spaces.h is not None) == natural
         eliminators.clear()
-        assert st.stress_numbers(c, e) == expected
+        assert numbers(spaces) == expected
         # one per degree 1..floor(d/2)+1, none for a refused embedding
         modp = [m for m in eliminators if m is not None]
-        assert len(modp) == (0 if forms_p is None else len(expected[0]) - 1)
+        assert len(modp) == (0 if spaces.forms_p is None else len(expected[0]) - 1)
 
     @settings(max_examples=100)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
@@ -526,7 +530,8 @@ class TestCohenMacaulayCertificate:
         expected = q_numbers(c, e)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "PRIME", prime)
-            forms_p = st._modp_forms(e)
+            spaces = st.StressSpaces(c, e)
+            forms_p = spaces.forms_p
             assert (forms_p is None) == any(
                 x.denominator % prime == 0 for cs in coords.values() for x in cs)
             # the certificate rows, built from the converted coordinates,
@@ -538,6 +543,6 @@ class TestCohenMacaulayCertificate:
                     assert all(0 < x < prime for r in rows_p for x in r.values())
                     assert sorted(sorted(r.items()) for r in rows_p) == \
                         reduced(st._operator_rows(ss.theta_forms(e), cols), prime)
-            assert st.stress_numbers(c, e) == expected
+            assert numbers(spaces) == expected
             assert self.dims(c, e) == expected[0][1:]
 

@@ -46,46 +46,49 @@ def made(monkeypatch):
 
 
 def count_socles(monkeypatch, key):
-    """Count the socles computed (``StressSpaces.numbers``), keyed by
+    """Count the socles computed (``StressSpaces.socle``), keyed by
     ``key(spaces)`` and skipped where it returns None."""
     counter = Counter()
-    real = st.StressSpaces.numbers.func
+    real = st.StressSpaces.socle.func
 
-    def numbers(spaces):
+    def socle(spaces):
         k = key(spaces)
         if k is not None:
             counter[k] += 1
         return real(spaces)
 
-    prop = functools.cached_property(numbers)
-    prop.__set_name__(st.StressSpaces, "numbers")
-    monkeypatch.setattr(st.StressSpaces, "numbers", prop)
+    prop = functools.cached_property(socle)
+    prop.__set_name__(st.StressSpaces, "socle")
+    monkeypatch.setattr(st.StressSpaces, "socle", prop)
     return counter
 
 
 @pytest.fixture
 def calls(made, monkeypatch):
-    """Count, on the shrunken residual catalog's spheres, the
-    ``_stresses`` calls keyed by (sphere name, embedding seed, degree),
-    the ``_cohen_macaulay_h`` calls keyed by (sphere name, embedding
-    seed) and the socles keyed by (sphere name, embedding seed)."""
+    """Count, on the shrunken residual catalog's spheres, the degrees
+    whose stresses are computed (the first ``StressSpaces.stresses``
+    request of each degree, not every request) keyed by (sphere name,
+    embedding seed, degree), the ``_cohen_macaulay_h`` calls keyed by
+    (sphere name, embedding seed) and the socles keyed by (sphere name,
+    embedding seed)."""
     counters = {"stresses": Counter(), "bounds": Counter()}
-    real_stresses, real_h = st._stresses, st._cohen_macaulay_h
+    real_stresses, real_h = st.StressSpaces.stresses, st._cohen_macaulay_h
 
     def name_of(c):
         return made[id(c)][1] if id(c) in made else None
 
-    def stresses(c, e, k, *args):
-        if name_of(c):
-            counters["stresses"][(name_of(c), e.seed, k)] += 1
-        return real_stresses(c, e, k, *args)
+    def stresses(spaces, k):
+        name = name_of(spaces.complex)
+        if name and k not in spaces._by_degree:
+            counters["stresses"][(name, spaces.embedding.seed, k)] += 1
+        return real_stresses(spaces, k)
 
     def cohen_macaulay_h(c, e, *args):
         if name_of(c):
             counters["bounds"][(name_of(c), e.seed)] += 1
         return real_h(c, e, *args)
 
-    monkeypatch.setattr(st, "_stresses", stresses)
+    monkeypatch.setattr(st.StressSpaces, "stresses", stresses)
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     counters["socles"] = count_socles(
         monkeypatch, lambda sp: (name_of(sp.complex), sp.embedding.seed)
