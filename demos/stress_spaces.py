@@ -28,8 +28,7 @@ print("  natural polytope coordinates give", dims, "for degrees 1..3")
 
 print("\n=== basis elements verify the operator equations directly ===\n")
 e = ss.generic_embedding(c, SEED)
-basis = ss.stress_space(c, e, 3)
-omega = basis.polys[0]
+omega = ss.StressSpaces(c, e).basis(3)[0]
 print(f"degree-3 basis stress on K-2-5 has {len(omega.terms)} monomials;")
 print("  is_stress re-checks all d+1 derivative conditions:",
       ss.is_stress(c, e, omega))

@@ -293,10 +293,11 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
 
     ops_hold = st.is_stress(c, emb, f_poly) and not f_poly.is_zero()
 
-    basis = st.stress_space(c, emb, u)
+    spaces = st.StressSpaces(c, emb)
+    basis = spaces.basis(u)
     spans = False
-    if basis.dim == 1:
-        b0 = basis.polys[0]
+    if len(basis) == 1:
+        b0 = basis[0]
         common = next(iter(f_poly.terms))
         denom = b0.terms.get(common)
         if denom:
@@ -314,12 +315,12 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     unsupported = sum(1 for face in candidates
                       if c.is_face(face) and not f_poly.participates(face))
 
-    span = st.derivative_span_dim(c, emb, u - 1, basis_above=basis)
+    span = spaces.derivative_span_dim(u - 1)
     g = g_vector(c)
     return SupportCounterexampleReport(
         name=sphere.name, m=m, u=u,
         operator_equations_hold=ops_hold,
-        stress_space_dim=basis.dim,
+        stress_space_dim=len(basis),
         explicit_stress_spans=spans,
         mixed_coefficient=mixed,
         candidate_faces=len(candidates),

@@ -152,19 +152,19 @@ def cmd_stress(args) -> int:
     sphere = _resolve_target(args.target)
     _require_sphere(sphere)
     c, k = sphere.complex, args.degree
-    emb = _embedding_for(sphere, args.embedding, args.seed)
+    spaces = st.StressSpaces(c, _embedding_for(sphere, args.embedding, args.seed))
     if k < 1:
         raise CliInputError("stress spaces are computed for degree k >= 1")
     if args.embedding == "generic":
         dim = st.certified_stress_dims(c, k, args.seed)
     else:
-        dim = st.StressSpaces(c, emb).dims([k])[0]
+        dim = spaces.dims([k])[0]
     g = g_vector(c)
     expected = g[k] if k < len(g) else None
     lines = [f"{sphere.name}: dim of degree-{k} stress space = {dim}"
              + (f" (g_{k} = {expected})" if expected is not None else "")]
-    if args.basis:  # the only elimination over Q
-        doc = st.basis_to_jsonable(st.stress_space(c, emb, k))
+    if args.basis:  # eliminated over Q, unless dims already did so
+        doc = st.basis_to_jsonable(c, k, spaces.basis(k))
         for i, entry in enumerate(doc["basis"]):
             lines.append(f"  basis[{i}]: " + ", ".join(
                 f"{mono} -> {coef}" for mono, coef in sorted(entry.items())))
@@ -201,6 +201,8 @@ def cmd_seq(args) -> int:
         values = [int(x) for x in args.sequence.replace(",", " ").split()]
     except ValueError as exc:
         raise CliInputError(f"sequence must be integers: {exc}") from exc
+    if not values:
+        raise CliInputError("sequence must have at least one integer")
     if args.action == "check-m":
         verdict = seqs.is_M_sequence(values)
     else:

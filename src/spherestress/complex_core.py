@@ -594,8 +594,10 @@ def complex_from_json(text: str):
         for v in f:
             if type(v) is not int:  # bool is an int subclass; reject it too
                 raise ValueError(f"vertex labels must be integers, got {json.dumps(v)}")
-    c = from_facets(doc["facets"])
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a string, got {json.dumps(name)}")
+    c = from_facets(doc["facets"])
     coords = None
     if "coordinates" in doc:
         if not isinstance(doc["coordinates"], dict):

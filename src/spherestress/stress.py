@@ -44,14 +44,16 @@ entries, so the rows built mod p are the reduction of the rows over Q.
 Every vertex meets some column, so refusing a coordinate is at least as
 strict as refusing an entry.  A ``StressSpaces`` holds one embedding's
 converted forms, its lower bound, its stresses by degree and its socle,
-each computed at most once; a caller holds one per embedding, and
-``verify`` keeps one per complex for a whole run.
+each computed at most once and only on request; a caller holds one per
+embedding, and ``verify`` keeps one per complex for a whole run.
 
-The exported bases (``stress_space``, and through it
-``derivative_span_dim``, ``cone_lift_check``, ``star_stress_witness``
-and the support counterexample) are exact kernels over Q, eliminated
-over Q alone (``_exact_stresses``); only ``StressSpaces`` takes a
-kernel mod p.
+The exported bases (``StressSpaces.basis``, and through it
+``StressSpaces.derivative_span_dim``, ``cone_lift_check``,
+``star_stress_witness`` and the support counterexample) are exact
+kernels over Q.  A degree not yet computed is eliminated over Q alone,
+so a caller that asks only for bases converts nothing mod p and runs no
+l.s.o.p. test; a degree that ``stresses`` kept mod p is eliminated over
+Q once and replaced.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -259,32 +261,6 @@ def is_stress(c: SimplicialComplex, e: Embedding, omega: StressPolynomial) -> bo
     return all(not _apply_form(omega.terms, f) for f in theta_forms(e))
 
 
-@dataclass(frozen=True)
-class StressBasis:
-    complex: SimplicialComplex
-    embedding: Embedding
-    degree: int
-    polys: tuple[StressPolynomial, ...] = field(default_factory=tuple)
-
-    @property
-    def dim(self) -> int:
-        return len(self.polys)
-
-
-def stress_space(c: SimplicialComplex, e: Embedding, k: int) -> StressBasis:
-    """Exact kernel basis of the stacked operator matrix in degree k.
-
-    Columns are the face-supported degree-k monomials in graded-lex
-    order; rows apply each of the d+1 linear-form derivatives.  The
-    returned basis is the canonical reduced-echelon kernel basis, from
-    one elimination over Q and none mod p.
-    """
-    if k < 1:
-        raise ValueError("stress spaces are computed for degree k >= 1")
-    terms = _exact_stresses(e, face_monomials(c, k))
-    return StressBasis(c, e, k, tuple(StressPolynomial(k, t) for t in terms))
-
-
 def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None) -> list[dict]:
     """Rows of the stacked operator matrix over the columns ``cols``: one
     per (linear form, degree-(k-1) monomial) pair that some column hits.
@@ -351,31 +327,34 @@ def _kernel_terms(cols: list[Monomial], kernel: list[dict]) -> list[dict]:
     return [{cols[ci]: x for ci, x in sorted(vec.items())} for vec in kernel]
 
 
-def _exact_stresses(e: Embedding, cols: list[Monomial]) -> list[dict]:
-    """The stresses over the columns ``cols`` as an exact kernel over Q."""
-    rows = _operator_rows(theta_forms(e), cols)
-    return _kernel_terms(cols, linalg.kernel_basis(rows, range(len(cols))))
-
-
 class StressSpaces:
     """The stress spaces of one embedded complex, each computed at most
-    once: the embedding's theta forms are converted mod p once
-    (``forms_p``, None when ``linalg.to_modp`` refuses a denominator),
-    the lower bound of ``_cohen_macaulay_h`` is checked once (``h``),
-    each degree's stresses are found at most once (``stresses``), and
-    the socle once (``socle``)."""
+    once and only on request: the embedding's theta forms converted mod
+    p (``forms_p``, None when ``linalg.to_modp`` refuses a denominator),
+    the lower bound of ``_cohen_macaulay_h`` (``h``), each degree's
+    stresses (``stresses``), and the socle (``socle``).  The exact bases
+    over Q (``basis``) and the derivative spans over Q
+    (``derivative_span_dim``) read and fill the same per-degree entries,
+    so a degree is eliminated over Q at most once, and a caller that
+    asks only for bases converts nothing mod p."""
 
     def __init__(self, c: SimplicialComplex, e: Embedding):
         self.complex = c
         self.embedding = e
-        self.forms_p = linalg.to_modp(theta_forms(e))
-        self.h = _cohen_macaulay_h(c, e, self.forms_p)
         self._by_degree: dict[int, tuple[list[dict], bool]] = {}
+
+    @functools.cached_property
+    def forms_p(self) -> list[dict] | None:
+        return linalg.to_modp(theta_forms(self.embedding))
+
+    @functools.cached_property
+    def h(self) -> list[int] | None:
+        return _cohen_macaulay_h(self.complex, self.embedding, self.forms_p)
 
     def stresses(self, k: int) -> tuple[list[dict], bool]:
         """The degree-k stresses (k >= 1) as term dicts in graded-lex
-        order, and whether they are a kernel over Q rather than mod p;
-        computed on the first request.
+        order, and whether they are the kernel over Q rather than a
+        longer kernel mod p; computed on the first request.
 
         The operator rows are built mod p from ``forms_p`` and their
         kernel mod p taken; it is at least as long as the kernel over Q.
@@ -388,16 +367,46 @@ class StressSpaces:
         if k in self._by_degree:
             return self._by_degree[k]
         cols = face_monomials(self.complex, k)
-        found = None
         if self.forms_p is not None:
             rows = _operator_rows(self.forms_p, cols, linalg.PRIME)
             kernel = linalg.modp_kernel(rows, range(len(cols)))
             if len(kernel) == _dim_lower_bound(self.h, k):
-                found = _kernel_terms(cols, kernel), False
-        if found is None:
-            found = _exact_stresses(self.embedding, cols), True
-        self._by_degree[k] = found
+                found = self._by_degree[k] = _kernel_terms(cols, kernel), not kernel
+                return found
+        return self._eliminate_over_q(k, cols)
+
+    def _eliminate_over_q(self, k: int, cols: list[Monomial]) -> tuple[list[dict], bool]:
+        """The exact kernel over Q of the degree-k rows over the columns
+        ``cols``, recorded as the degree's stresses."""
+        rows = _operator_rows(theta_forms(self.embedding), cols)
+        found = self._by_degree[k] = (
+            _kernel_terms(cols, linalg.kernel_basis(rows, range(len(cols)))), True)
         return found
+
+    def basis(self, k: int) -> tuple[StressPolynomial, ...]:
+        """The exact degree-k stress basis over Q (k >= 1): the canonical
+        reduced-echelon kernel of the stacked operator matrix, whose
+        columns are the face-supported degree-k monomials in graded-lex
+        order and whose rows apply each of the d+1 linear-form
+        derivatives.  A degree whose ``stresses`` are already the kernel
+        over Q is reused; any other is eliminated over Q here, with no
+        kernel mod p taken first, and replaces a kernel kept mod p."""
+        if k < 1:
+            raise ValueError("stress spaces are computed for degree k >= 1")
+        terms, over_q = self._by_degree.get(k, (None, False))
+        if not over_q:
+            terms, _ = self._eliminate_over_q(k, face_monomials(self.complex, k))
+        return tuple(StressPolynomial(k, t) for t in terms)
+
+    def derivative_span_dim(self, k: int) -> int:
+        """Rank over Q of {d/dx_v omega : omega in ``basis(k + 1)``, v a
+        vertex} inside the degree-k coefficient space.
+
+        Convention at k = 0: the span of first derivatives of linear
+        stresses is the constants, so the dimension is 1 exactly when the
+        degree-1 space is nonzero.
+        """
+        return linalg.rank_of(_derivatives(p.terms for p in self.basis(k + 1)))
 
     def dims(self, degrees) -> list[int]:
         """The stress dimension in each of ``degrees``."""
@@ -416,8 +425,7 @@ class StressSpaces:
         reduction of the p-integral stresses over Q, so the rank mod p
         of its derivatives is at most their rank over Q: reaching the
         degree-k dimension proves the degree-k socle 0.  Every other
-        socle is computed over Q, from the degree-(k+1) rows eliminated
-        over Q.
+        socle is computed over Q, by ``derivative_span_dim``.
         """
         half = (self.complex.dim + 1) // 2
         dims = self.dims(range(half + 1))
@@ -430,9 +438,7 @@ class StressSpaces:
                     _derivatives(terms, linalg.PRIME)) == dims[k]:
                 socle.append(0)
             else:
-                if not over_q:  # kept mod p, but its derivatives fall short
-                    terms = _exact_stresses(self.embedding, face_monomials(self.complex, k + 1))
-                socle.append(dims[k] - linalg.rank_of(_derivatives(terms)))
+                socle.append(dims[k] - self.derivative_span_dim(k))
         return socle
 
 
@@ -469,20 +475,6 @@ def _derivatives(polys, p: int | None = None) -> list[dict]:
                 by_vertex.setdefault(v, {})[_remove_one(mu, v)] = x
         out.extend(by_vertex.values())
     return out
-
-
-def derivative_span_dim(c: SimplicialComplex, e: Embedding, k: int,
-                        basis_above: StressBasis | None = None) -> int:
-    """Rank over Q of {d/dx_v omega : omega in a basis of the degree-(k+1)
-    space, v a vertex} inside the degree-k coefficient space.
-
-    Convention at k = 0: the span of first derivatives of linear
-    stresses is the constants, so the dimension is 1 exactly when the
-    degree-1 space is nonzero.
-    """
-    if basis_above is None:
-        basis_above = stress_space(c, e, k + 1)
-    return linalg.rank_of(_derivatives(p.terms for p in basis_above.polys))
 
 
 def is_level(soc: list[int], up_to: int) -> SequenceVerdict:
@@ -523,7 +515,7 @@ def star_stress_witness(c: SimplicialComplex, e: Embedding, tau, i: int):
     if i >= len(g_link) or g_link[i] < 1:
         raise ValueError(f"link has g_{i} = 0, no star-supported stress is promised")
     st = star(c, t)
-    basis = stress_space(st, e, i).polys
+    basis = StressSpaces(st, e).basis(i)
     if not basis:
         return None
     required = [frozenset(s) for size in range(1, i + 1)
@@ -584,13 +576,13 @@ def cone_lift_check(delta: SimplicialComplex, i: int, seed: int) -> ConeLiftRepo
     lifted_coords[apex] = tuple(Fraction(0) for _ in range(dm1 + 1))
     top = Embedding(lifted_coords, dm1 + 1, "generic", seed)
 
-    base_basis = stress_space(delta, base, i)
-    cone_basis = stress_space(gamma, top, i)
+    base_basis = StressSpaces(delta, base).basis(i)
+    cone_basis = StressSpaces(gamma, top).basis(i)
     projections = linalg.SparseRREF()
-    for p in cone_basis.polys:
+    for p in cone_basis:
         projections.insert({mu: q for mu, q in p.terms.items() if apex not in mu})
     lifted = []
-    for p in base_basis.polys:
+    for p in base_basis:
         target = {}
         for mu, q in p.terms.items():
             scale = Fraction(1)
@@ -598,18 +590,19 @@ def cone_lift_check(delta: SimplicialComplex, i: int, seed: int) -> ConeLiftRepo
                 scale /= b[v]
             target[mu] = q * scale
         lifted.append(not projections.reduce(target))
-    return ConeLiftReport(apex, base_basis.dim, cone_basis.dim, tuple(lifted))
+    return ConeLiftReport(apex, len(base_basis), len(cone_basis), tuple(lifted))
 
 
 # ---------------------------------------------------------------------------
 # Basis serialization
 # ---------------------------------------------------------------------------
 
-def basis_to_jsonable(basis: StressBasis) -> dict:
-    """Exponent-vector to "p/q" maps, keys over the sorted vertex order."""
-    order = list(basis.complex.vertices)
+def basis_to_jsonable(c: SimplicialComplex, k: int, basis) -> dict:
+    """The degree-k stresses ``basis`` of ``c`` (a ``StressSpaces.basis``)
+    as exponent-vector to "p/q" maps, keys over the sorted vertex order."""
+    order = list(c.vertices)
     out = []
-    for p in basis.polys:
+    for p in basis:
         entry = {}
         for mu, coef in sorted(p.terms.items()):
             exps = [0] * len(order)
@@ -619,8 +612,8 @@ def basis_to_jsonable(basis: StressBasis) -> dict:
             entry[key] = f"{coef.numerator}/{coef.denominator}"
         out.append(entry)
     return {
-        "degree": basis.degree,
-        "dim": basis.dim,
+        "degree": k,
+        "dim": len(basis),
         "vertex_order": order,
         "basis": out,
     }

@@ -83,6 +83,14 @@ class TestInfo:
         code, out, err = run(capsys, "info", "-")
         assert code == 2 and out == "" and "malformed complex on stdin" in err
 
+    @pytest.mark.parametrize("name", [[1, 2], 5, None, True])
+    def test_non_string_name_exits_2(self, name, capsys, monkeypatch):
+        doc = {"name": name, "facets": [[1, 2], [2, 3], [3, 1]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "info", "-", "--json")
+        assert code == 2 and out == ""
+        assert "malformed complex on stdin" in err and "'name' must be a string" in err
+
     def test_non_list_facets_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"facets": 5}'))
         code, _, err = run(capsys, "info", "-")
@@ -294,6 +302,13 @@ class TestSeqAndAlpha:
         assert code == 1
         code, out, _ = run(capsys, "seq", "check-level", "1 2 2")
         assert code == 0
+
+    @pytest.mark.parametrize("action", ["check-m", "check-level"])
+    @pytest.mark.parametrize("sequence", ["", " , "])
+    def test_empty_sequence_exits_2(self, action, sequence, capsys):
+        # exit 1 is kept for a check that fails on a real sequence
+        code, out, err = run(capsys, "seq", action, sequence)
+        assert code == 2 and out == "" and "at least one integer" in err
 
     def test_alpha(self, capsys):
         code, out, _ = run(capsys, "alpha", "octahedron", "--json")

@@ -64,17 +64,16 @@ class TestBasisProperties:
             c = build(name).complex
             e = ss.generic_embedding(c, 4)
             for k in range(1, (c.dim + 1) // 2 + 1):
-                basis = ss.stress_space(c, e, k)
-                for omega in basis.polys:
+                for omega in ss.StressSpaces(c, e).basis(k):
                     assert not omega.is_zero()
                     assert ss.is_stress(c, e, omega)
 
     def test_deterministic_given_seed(self):
         c = build("K-2-5").complex
         e = ss.generic_embedding(c, 11)
-        b1 = ss.stress_space(c, e, 2)
-        b2 = ss.stress_space(c, e, 2)
-        assert [p.terms for p in b1.polys] == [p.terms for p in b2.polys]
+        b1 = ss.StressSpaces(c, e).basis(2)
+        b2 = ss.StressSpaces(c, e).basis(2)
+        assert [p.terms for p in b1] == [p.terms for p in b2]
 
     def test_face_monomial_order_and_count(self):
         c = ss.cycle(4)
@@ -87,7 +86,7 @@ class TestBasisProperties:
         c = ss.cycle(4)
         assert ss.face_monomials(c, 0) == [()]
         with pytest.raises(ValueError):
-            ss.stress_space(c, ss.generic_embedding(c, 1), 0)
+            ss.StressSpaces(c, ss.generic_embedding(c, 1)).basis(0)
 
     def test_theta_forms(self):
         poly = build("polytope-1")
@@ -99,7 +98,7 @@ class TestBasisProperties:
     def test_basis_export_format(self):
         c = build("octahedron").complex
         e = ss.generic_embedding(c, 1)
-        doc = basis_to_jsonable(ss.stress_space(c, e, 1))
+        doc = basis_to_jsonable(c, 1, ss.StressSpaces(c, e).basis(1))
         assert doc["dim"] == 2 and doc["degree"] == 1
         for entry in doc["basis"]:
             for key, val in entry.items():
@@ -113,13 +112,13 @@ class TestDerivatives:
     def test_identity_monomial(self):
         c = build("K-2-4").complex
         e = ss.generic_embedding(c, 2)
-        omega = ss.stress_space(c, e, 2).polys[0]
+        omega = ss.StressSpaces(c, e).basis(2)[0]
         assert ss.derivative(omega, ()).terms == omega.terms
 
     def test_derivative_of_stress_is_stress(self):
         c = build("K-2-5").complex
         e = ss.generic_embedding(c, 2)
-        for omega in ss.stress_space(c, e, 3).polys:
+        for omega in ss.StressSpaces(c, e).basis(3):
             for v in (1, 4, 9):
                 d = ss.derivative(omega, (v,))
                 assert ss.is_stress(c, e, d)
@@ -127,16 +126,16 @@ class TestDerivatives:
     def test_degree_underflow(self):
         c = build("octahedron").complex
         e = ss.generic_embedding(c, 1)
-        omega = ss.stress_space(c, e, 1).polys[0]
+        omega = ss.StressSpaces(c, e).basis(1)[0]
         with pytest.raises(ValueError):
             ss.derivative(omega, (1, 2))
 
     def test_span_dim_convention_at_zero(self):
         oct_ = build("octahedron").complex
         e = ss.generic_embedding(oct_, 1)
-        assert ss.derivative_span_dim(oct_, e, 0) == 1  # g_1 > 0
+        assert ss.StressSpaces(oct_, e).derivative_span_dim(0) == 1  # g_1 > 0
         b3 = ss.boundary_simplex(3)
-        assert ss.derivative_span_dim(b3, ss.generic_embedding(b3, 1), 0) == 0
+        assert ss.StressSpaces(b3, ss.generic_embedding(b3, 1)).derivative_span_dim(0) == 0
 
     def test_span_reconstructs_below_the_middle(self):
         # a 6-sphere with missing faces of dim <= 3: the degree-2 space is
@@ -146,7 +145,7 @@ class TestDerivatives:
         e = ss.generic_embedding(c, 9)
         g = ss.g_vector(c)
         assert g[2] == 3
-        assert ss.derivative_span_dim(c, e, 2) == g[2]
+        assert ss.StressSpaces(c, e).derivative_span_dim(2) == g[2]
 
 
 class TestSocleAndLevel:
@@ -281,8 +280,10 @@ class TestModpFallback:
     def snapshot(c, e):
         top = (c.dim + 1) // 2 + 1
         spaces = ss.StressSpaces(c, e)
-        bases = [[p.terms for p in ss.stress_space(c, e, k).polys] for k in range(1, top + 1)]
-        return spaces.dims(range(1, top + 1)), bases, spaces.socle
+        dims, socle = spaces.dims(range(1, top + 1)), spaces.socle
+        # a degree kept mod p is eliminated over Q here, the others reused
+        bases = [[p.terms for p in spaces.basis(k)] for k in range(1, top + 1)]
+        return dims, bases, socle
 
     @staticmethod
     def embeddings(c):
@@ -340,10 +341,9 @@ def q_numbers(c, e):
     """``numbers`` computed over Q alone: one exact stress basis per
     degree and the exact rank of each derivative span."""
     half = (c.dim + 1) // 2
-    spaces = {k: ss.stress_space(c, e, k) for k in range(1, half + 2)}
-    dims = [1] + [spaces[k].dim for k in range(1, half + 2)]
-    socle = [dims[k] - ss.derivative_span_dim(c, e, k, basis_above=spaces[k + 1])
-             for k in range(half + 1)]
+    spaces = st.StressSpaces(c, e)
+    dims = [1] + [len(spaces.basis(k)) for k in range(1, half + 2)]
+    socle = [dims[k] - spaces.derivative_span_dim(k) for k in range(half + 1)]
     return dims, socle
 
 
@@ -422,7 +422,7 @@ class TestCohenMacaulayCertificate:
         c = build(name).complex
         e = ss.generic_embedding(c, 1)
         eliminators.clear()
-        assert ss.stress_space(c, e, k).dim == dim
+        assert len(ss.StressSpaces(c, e).basis(k)) == dim
         assert eliminators == [None]
 
     def test_nonzero_socle_under_nonzero_space_falls_back(self, q_path):
@@ -434,6 +434,32 @@ class TestCohenMacaulayCertificate:
         assert expected[1] == [0, 0, 1, 1]
         # only the degree-2 socle: one exact degree-3 basis, one exact span
         assert q_path == {"kernel_basis": 1, "rank_of": 1}
+
+    def test_basis_reuses_the_socle_fallback(self, q_path):
+        # the degree-2 socle of K-2-5 eliminates degree 3 over Q; the
+        # exported degree-3 basis of the same object reads it back
+        c = build("K-2-5").complex
+        e = ss.generic_embedding(c, 7)
+        spaces = st.StressSpaces(c, e)
+        assert spaces.socle == [0, 0, 1, 1]
+        assert q_path["kernel_basis"] == 1
+        basis = spaces.basis(3)
+        assert q_path["kernel_basis"] == 1
+        assert [p.terms for p in basis] == [p.terms for p in st.StressSpaces(c, e).basis(3)]
+
+    def test_support_counterexample_takes_no_modp_path(self, q_path, monkeypatch):
+        # the support counterexample asks only for a basis and a span:
+        # one elimination and one rank over Q, no l.s.o.p. test
+        bounds = []
+        real = st._cohen_macaulay_h
+
+        def cohen_macaulay_h(*args):
+            bounds.append(args)
+            return real(*args)
+        monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
+        assert ss.verify_counterexample_support(1).reproduced
+        assert q_path == {"kernel_basis": 1, "rank_of": 1}
+        assert bounds == []
 
     def test_socle_fallback_takes_no_second_kernel_mod_p(self, monkeypatch):
         # K-2-5's degree-3 kernel is kept mod p, but its derivatives fall
