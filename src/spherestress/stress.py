@@ -25,12 +25,15 @@ coordinate minor nonzero mod p), the face ring is Cohen-Macaulay
 (Lee 1996), have dimension at least g_k = h_k - h_{k-1}.  When the two
 bounds meet, that is the dimension over Q and the kernel mod p is kept,
 so a ``stress-dim-equals-g`` PASS rests on these theorems plus a kernel
-mod p, not on a kernel over Q.  A kept kernel mod p then bounds the
-rank of the derivative spans from below, which settles a zero socle
-(see ``StressSpaces.socle``).  Anything else (a non-sphere, a singular
-facet minor, a denominator divisible by p, a kernel mod p longer than
-the bound, a nonzero socle under a nonzero space) is computed by exact
-elimination over Q, so a rank that drops mod p costs only time.
+mod p, not on a kernel over Q.  A is moreover Gorenstein with socle
+degree d (Stanley 1996), so a degree above the middle is read off its
+mirror degree with no rows built (see ``StressSpaces.stresses``).  A
+kept kernel mod p bounds the rank of its derivative span from below,
+and the d+1 operator forms bound it from above, which together settle
+a socle (see ``StressSpaces.socle``).  Anything else (a non-sphere, a
+singular facet minor, a denominator divisible by p, a kernel mod p
+longer than the bound, a socle whose two bounds differ) is computed by
+exact elimination over Q, so a rank that drops mod p costs only time.
 
 Each embedding's coordinates are converted mod p once, where their
 denominators are: ``StressSpaces`` passes the theta forms through
@@ -363,9 +366,22 @@ class StressSpaces:
         dimension, and an empty one is also the kernel over Q.
         Otherwise, or when ``forms_p`` is None, the rows are built over
         Q and their exact kernel is returned.  This is the one place a
-        kernel mod p is accepted."""
+        kernel mod p is accepted.
+
+        Above the middle (2k > d+1), with ``h``, degree k is empty and
+        no rows are built when its mirror degree j = d+1-k is below 1
+        (h_k = 0 above degree d) or has dimension exactly h_j - h_{j-1}.
+        A = Q[c]/(theta) is Gorenstein with socle degree d (Stanley
+        1996), so omega: A_{k-1} -> A_k and omega: A_{j-1} -> A_j are
+        adjoint and have equal rank; the second is injective, so the
+        dimension is h_k - h_{j-1} = 0 by Dehn-Sommerville."""
         if k in self._by_degree:
             return self._by_degree[k]
+        j = self.complex.dim + 2 - k  # the mirror degree d + 1 - k
+        if j < k and self.h is not None and (
+                j < 1 or self.dims([j])[0] == self.h[j] - self.h[j - 1]):
+            found = self._by_degree[k] = [], True
+            return found
         cols = face_monomials(self.complex, k)
         if self.forms_p is not None:
             rows = _operator_rows(self.forms_p, cols, linalg.PRIME)
@@ -419,26 +435,28 @@ class StressSpaces:
 
         The socle in degree k is the degree-k dimension minus the rank
         of the derivatives of the degree-(k+1) stresses (the socle of
-        the Artinian reduction, computed dually).  Under a zero
-        degree-(k+1) space the socle is the whole degree-k space.  A
-        degree-(k+1) kernel that ``stresses`` kept mod p is the
-        reduction of the p-integral stresses over Q, so the rank mod p
-        of its derivatives is at most their rank over Q: reaching the
-        degree-k dimension proves the degree-k socle 0.  Every other
-        socle is computed over Q, by ``derivative_span_dim``.
+        the Artinian reduction, computed dually), settled between two
+        bounds.  A degree-(k+1) kernel that ``stresses`` kept mod p is
+        the reduction of the p-integral stresses over Q, so the rank mod
+        p of its derivatives is at most their rank over Q, and the socle
+        is at most dims_k less that rank (dims_k for a kernel over Q).
+        Every stress is killed by the d+1 operator forms, so the map
+        from a linear form to its derivative of omega vanishes on their
+        span, of codimension dims_1, and the socle is at least
+        max(dims_k - dims_1 * dims_{k+1}, 0): under a zero degree-(k+1)
+        space, the whole degree.  When the bounds meet, that is the
+        socle; every other socle is computed over Q, by
+        ``derivative_span_dim``.
         """
         half = (self.complex.dim + 1) // 2
-        dims = self.dims(range(half + 1))
+        dims = self.dims(range(half + 2))
         socle = []
         for k in range(half + 1):
             terms, over_q = self.stresses(k + 1)
-            if not terms:
-                socle.append(dims[k])
-            elif not over_q and linalg.modp_rank(
-                    _derivatives(terms, linalg.PRIME)) == dims[k]:
-                socle.append(0)
-            else:
-                socle.append(dims[k] - self.derivative_span_dim(k))
+            upper = dims[k] - (0 if over_q else
+                               linalg.modp_rank(_derivatives(terms, linalg.PRIME)))
+            lower = max(dims[k] - dims[1] * dims[k + 1], 0)
+            socle.append(upper if upper == lower else dims[k] - self.derivative_span_dim(k))
         return socle
 
 

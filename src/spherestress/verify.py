@@ -350,7 +350,7 @@ def rows_counterexample_level(seed: int, build, spaces, u: int, k: int) -> list[
                  f"g_1={rep.g1}, g_{u - 1}={rep.g_top_minus1}", "not level",
                  not rep.level_verdict.holds, note=rep.level_verdict.detail),
     ]
-    if u <= 4:  # desk-scale cap on the socle
+    if u <= 5:  # desk-scale cap on the socle
         soc = spaces(rep.complex).socle
         rows.append(CheckRow("counterexample-level-socle", rep.name, _fmt(soc),
                              f"nonzero below degree {u}", not st.is_level(soc, u).holds))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import spherestress as ss
-from spherestress import linalg
+from spherestress import catalog, linalg
 from spherestress import stress as st
 from spherestress.stress import Embedding, basis_to_jsonable
 
@@ -363,6 +363,33 @@ def torus():
                            for i in range(7) for j in (1, 2)])
 
 
+def stacked(name):
+    """The catalog sphere ``name`` with its first facet subdivided by a
+    new vertex: the facet becomes a missing face, and so a degree-1 socle
+    under a nonzero degree-2 space."""
+    c = build(name).complex
+    facet = min(c.facets, key=sorted)
+    w = max(c.vertices) + 1
+    return ss.from_facets([sorted(f) for f in c.facets if f != facet]
+                          + [sorted(facet - {v} | {w}) for v in facet])
+
+
+def socle_bounds(spaces):
+    """The two bounds on each socle degree k of ``spaces``:
+    max(dims_k - dims_1 * dims_{k+1}, 0) below, and above, dims_k less the
+    rank mod p of the derivatives of a degree-(k+1) kernel kept mod p
+    (dims_k for a kernel over Q)."""
+    half = (spaces.complex.dim + 1) // 2
+    dims = spaces.dims(range(half + 2))
+    bounds = []
+    for k in range(half + 1):
+        terms, over_q = spaces.stresses(k + 1)
+        upper = dims[k] if over_q else \
+            dims[k] - linalg.modp_rank(st._derivatives(terms, linalg.PRIME))
+        bounds.append((max(dims[k] - dims[1] * dims[k + 1], 0), upper))
+    return bounds
+
+
 RP2 = [[1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
        [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6]]
 
@@ -425,25 +452,27 @@ class TestCohenMacaulayCertificate:
         assert len(ss.StressSpaces(c, e).basis(k)) == dim
         assert eliminators == [None]
 
-    def test_nonzero_socle_under_nonzero_space_falls_back(self, q_path):
+    def test_nonzero_socle_under_nonzero_space_is_settled_mod_p(self, q_path):
         c = build("K-2-5").complex
         e = ss.generic_embedding(c, 7)
         expected = q_numbers(c, e)
         q_path.update(kernel_basis=0, rank_of=0)
         assert numbers(st.StressSpaces(c, e)) == expected
         assert expected[1] == [0, 0, 1, 1]
-        # only the degree-2 socle: one exact degree-3 basis, one exact span
-        assert q_path == {"kernel_basis": 1, "rank_of": 1}
+        # the two bounds on the degree-2 socle meet: nothing over Q
+        assert q_path == {"kernel_basis": 0, "rank_of": 0}
 
-    def test_basis_reuses_the_socle_fallback(self, q_path):
-        # the degree-2 socle of K-2-5 eliminates degree 3 over Q; the
-        # exported degree-3 basis of the same object reads it back
+    def test_basis_after_the_socle_is_eliminated_once(self, q_path):
+        # the socle of K-2-5 keeps degree 3 mod p; the exported degree-3
+        # basis replaces it by one elimination over Q and reads it back
         c = build("K-2-5").complex
         e = ss.generic_embedding(c, 7)
         spaces = st.StressSpaces(c, e)
         assert spaces.socle == [0, 0, 1, 1]
-        assert q_path["kernel_basis"] == 1
+        assert q_path["kernel_basis"] == 0
         basis = spaces.basis(3)
+        assert q_path["kernel_basis"] == 1
+        assert spaces.basis(3) == basis
         assert q_path["kernel_basis"] == 1
         assert [p.terms for p in basis] == [p.terms for p in st.StressSpaces(c, e).basis(3)]
 
@@ -462,11 +491,11 @@ class TestCohenMacaulayCertificate:
         assert bounds == []
 
     def test_socle_fallback_takes_no_second_kernel_mod_p(self, monkeypatch):
-        # K-2-5's degree-3 kernel is kept mod p, but its derivatives fall
-        # short of the degree-2 dimension: that socle is ranked over Q
-        # from the degree-3 rows, with no second kernel mod p
-        c = build("K-2-5").complex
-        e = ss.generic_embedding(c, 17)
+        # the stacked K-2-4 keeps its degree-2 kernel mod p, but the two
+        # bounds on its degree-1 socle do not meet: that socle is ranked
+        # over Q from the degree-2 rows, with no second kernel mod p
+        c = stacked("K-2-4")
+        e = ss.generic_embedding(c, 1)
         kernels = []
         real = linalg.modp_kernel
 
@@ -475,8 +504,9 @@ class TestCohenMacaulayCertificate:
             return real(rows, columns)
         monkeypatch.setattr(linalg, "modp_kernel", modp_kernel)
         dims, socle = numbers(st.StressSpaces(c, e))
-        assert socle == [0, 0, 1, 1]
-        assert len(kernels) == len(dims) - 1 == 4  # one per degree 1..4
+        assert socle == [0, 1, 2]
+        # one per degree 1..3
+        assert kernels == [len(ss.face_monomials(c, k)) for k in range(1, len(dims))]
 
     def check_falls_back(self, c, e, q_path):
         expected = q_numbers(c, e)
@@ -517,7 +547,7 @@ class TestCohenMacaulayCertificate:
     # have denominators divisible by 3, so its embedding is refused
     # before any elimination mod 3; the natural cross-4 has unit facet
     # minors, so the lower bound g_k holds, but every kernel mod 2 is
-    # longer than it
+    # longer than it, and its degree 3 is settled by its mirror degree 2
     @pytest.mark.parametrize("name, prime, natural", [
         ("rp2", None, False), ("K-2-4", 3, False), ("cross-4", 2, True)])
     def test_one_modp_elimination_per_degree(self, name, prime, natural, monkeypatch,
@@ -534,9 +564,9 @@ class TestCohenMacaulayCertificate:
         assert (spaces.h is not None) == natural
         eliminators.clear()
         assert numbers(spaces) == expected
-        # one per degree 1..floor(d/2)+1, none for a refused embedding
+        # one per degree 1..floor(d/2)+1 that builds its rows
         modp = [m for m in eliminators if m is not None]
-        assert len(modp) == (0 if spaces.forms_p is None else len(expected[0]) - 1)
+        assert len(modp) == {"rp2": 2, "K-2-4": 0, "cross-4": 2}[name]
 
     @settings(max_examples=100)
     @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
@@ -572,3 +602,98 @@ class TestCohenMacaulayCertificate:
             assert numbers(spaces) == expected
             assert self.dims(c, e) == expected[0][1:]
 
+
+
+# every catalog sphere the socle sweep ranks over Q, under seeds 1 and 7
+# and under natural coordinates (seed None) where it has them; generic
+# cross-6 and K-3-7 take seconds each over Q
+SOCLE_SWEEP = [pytest.param(name, seed, marks=pytest.mark.slow if seed and name in
+                            ("cross-6", "K-3-7") else ())
+               for name in (*catalog.RESIDUAL, "K-3-6", "K-3-7", "polytope-1")
+               for seed in (1, 7, None)
+               if seed is not None or build(name).natural_coords is not None]
+
+
+class TestTwoSidedSocle:
+    """A socle degree under a nonzero space kept mod p lies between
+    dims_k - dims_1 * dims_{k+1} and dims_k less the rank mod p of the
+    derivatives; where they meet, nothing is computed over Q.  A degree
+    above the middle whose mirror degree d + 1 - k is zero or has the
+    dimension g_{d+1-k} is zero on a sphere, with no rows built."""
+
+    @pytest.mark.parametrize("name, seed", SOCLE_SWEEP)
+    def test_catalog_socle_is_settled_mod_p_and_matches_q(self, name, seed, q_path):
+        sphere = build(name)
+        c = sphere.complex
+        e = sphere.natural_coords if seed is None else ss.generic_embedding(c, seed)
+        spaces = st.StressSpaces(c, e)
+        bounds = socle_bounds(spaces)
+        socle = spaces.socle
+        assert q_path == {"kernel_basis": 0, "rank_of": 0}
+        dims = spaces.dims(range(len(socle)))
+        fresh = st.StressSpaces(c, e)
+        for k, (lower, upper) in enumerate(bounds):
+            assert lower <= socle[k] <= upper
+            assert socle[k] == dims[k] - fresh.derivative_span_dim(k)
+
+    def test_level_counterexample_socle_takes_no_exact_step(self, q_path, monkeypatch):
+        # K-3-7 (d = 8): degrees 1..4 are kernels mod p, degree 5 is
+        # settled by its mirror degree 4, and the bounds meet in every degree
+        c = build("K-3-7").complex
+        kernels = []
+        real = linalg.modp_kernel
+
+        def modp_kernel(rows, columns):
+            kernels.append(len(columns))
+            return real(rows, columns)
+        monkeypatch.setattr(linalg, "modp_kernel", modp_kernel)
+        assert st.StressSpaces(c, ss.generic_embedding(c, 1)).socle == [0, 0, 0, 1, 1]
+        assert q_path == {"kernel_basis": 0, "rank_of": 0}
+        assert kernels == [len(ss.face_monomials(c, k)) for k in range(1, 5)]
+
+    def test_mirror_degree_builds_no_rows(self, monkeypatch):
+        kernels = []
+        real = linalg.modp_kernel
+
+        def modp_kernel(rows, columns):
+            kernels.append(len(columns))
+            return real(rows, columns)
+        monkeypatch.setattr(linalg, "modp_kernel", modp_kernel)
+
+        def stresses(c, e, k):
+            kernels.clear()
+            return st.StressSpaces(c, e).stresses(k)
+
+        # cross-6 (d = 6): degree 4 reads its mirror degree 3 alone, and
+        # is empty over Q too
+        c = build("cross-6").complex
+        assert stresses(c, ss.generic_embedding(c, 1), 4) == ([], True)
+        assert kernels == [len(ss.face_monomials(c, 3))]
+        assert stresses(c, build("cross-6").natural_coords, 4) == ([], True)
+        assert st.StressSpaces(c, build("cross-6").natural_coords).basis(4) == ()
+        # above degree d there is no mirror degree to read
+        c = build("cross-4").complex
+        assert stresses(c, ss.generic_embedding(c, 1), 5) == ([], True)
+        assert kernels == []
+        # cross-5 (d = 5): degree 3 is its own mirror
+        c = build("cross-5").complex
+        assert stresses(c, ss.generic_embedding(c, 1), 3) == ([], True)
+        assert kernels == [len(ss.face_monomials(c, 3))]
+        # a non-sphere has no lower bound h, so no mirror rule
+        c = ss.from_facets(RP2)
+        assert stresses(c, ss.generic_embedding(c, 1), 3)[0] == []
+        assert kernels == [len(ss.face_monomials(c, 3))]
+
+    def test_bounds_apart_fall_back_to_q(self, q_path):
+        # the stacked K-2-4's degree-1 socle: its missing 4-face gives 1,
+        # the lower bound 0 and the rank mod p 1, so it is ranked over Q
+        c = stacked("K-2-4")
+        e = ss.generic_embedding(c, 1)
+        expected = q_numbers(c, e)
+        q_path.update(kernel_basis=0, rank_of=0)
+        spaces = st.StressSpaces(c, e)
+        assert socle_bounds(spaces)[1] == (0, 1)
+        assert numbers(spaces) == expected
+        assert expected[1] == [0, 1, 2]
+        # one exact degree-2 basis, one exact span
+        assert q_path == {"kernel_basis": 1, "rank_of": 1}

@@ -213,8 +213,8 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 def test_oracle_run_numbers_each_complex_once(monkeypatch):
     # the level counterexample's K-2-5, built from its parameters, shares
     # the socle family's socle, and K-2-4's level row shares its own; the
-    # only eliminations over Q left are K-2-5's degree-2 socle and the
-    # support counterexample's exported basis
+    # two-sided bound settles every socle mod p, so the only elimination
+    # over Q left is the support counterexample's exported basis
     eliminations = []
     real_kernel = linalg.kernel_basis
     numbered = count_socles(monkeypatch, lambda sp: (sp.complex, sp.embedding.seed))
@@ -227,14 +227,14 @@ def test_oracle_run_numbers_each_complex_once(monkeypatch):
     report = ver.run_families(list(ver.FAMILIES), SEED, [("level", 3, 1), ("support", 1)])
     assert report.ok
     assert numbered and max(numbered.values()) == 1
-    assert len(eliminations) == 2
+    assert len(eliminations) == 1
 
 
 @pytest.mark.parametrize("u, k, socle", [(3, 1, "[0, 0, 1, 1]"), (4, 1, "[0, 0, 0, 1, 1]"),
-                                         (5, 1, None), (6, 2, None)])
+                                         (5, 1, "[0, 0, 0, 0, 1, 1]"), (6, 2, None)])
 def test_level_counterexample_alone_keeps_its_socle_row(capsys, u, k, socle):
     # the socle row reads the run's socle even without the socle family,
-    # and is skipped above u = 4
+    # and is skipped above u = 5
     argv = ["verify", "--counterexample", "level", "--u", str(u), "--k", str(k), "--json"]
     assert cli.main(argv) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
