@@ -123,8 +123,8 @@ def verify_counterexample_level(u: int, k: int) -> LevelCounterexampleReport:
     """
     if not u >= 3 * k >= 3:
         raise ValueError(f"need u >= 3k >= 3, got u={u}, k={k}")
-    if u > 12:
-        raise ValueError("desk-scale cap: u <= 12")
+    if u > 8:  # faces grow about 4x per u; u = 9 took 39 s and 1.4 GB on a 2-core host
+        raise ValueError("desk-scale cap: u <= 8")
     sphere = build_K(u - k, 2 * u)
     g = tuple(g_vector(sphere.complex))
     formula = tuple(example_g_formula(u, k, j) for j in range(u + 1))
@@ -285,6 +285,8 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     absent from the support; and the span of the first derivatives of
     the top space has dimension strictly below g_{u-1}.
     """
+    if m > 2:  # m = 3 has a degree-7 system with 240,310 columns
+        raise ValueError("desk-scale cap: m <= 2")
     sphere = build_counterexample_polytope(m)
     c = sphere.complex
     emb = sphere.natural_coords

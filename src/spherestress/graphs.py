@@ -1,9 +1,9 @@
-"""Graphs of complexes, exact independence numbers and g vs alpha bounds.
+"""Graphs of complexes and exact independence numbers.
 
 The independence number is computed exactly by branch and bound with a
 greedy clique-cover upper bound; desk-scale graphs only (the default
-vertex cap is 64).  The inequality suite evaluates each statement only
-when its hypotheses hold and marks the others as skipped.
+vertex cap is 64).  The g vs alpha bounds, each with its hypotheses,
+are statements of ``verify.STATEMENTS``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .complex_core import SimplicialComplex, is_flag, max_missing_dim
+from .complex_core import SimplicialComplex, max_missing_dim
 from .enumeration import f_vector, g_vector
 
 VERTEX_CAP = 64  # the default vertex cap of independence_number
@@ -101,67 +101,6 @@ def turan_bound(f0: int, f1: int) -> Fraction:
     if f0 < 1:
         raise ValueError("need at least one vertex")
     return Fraction(f0 * f0, 2 * f1 + f0)
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    statement: str
-    index: int | None
-    lhs: int | None
-    rhs: int | None
-    holds: bool | None  # None = hypotheses not met, statement skipped
-    note: str = ""
-
-
-def verify_alpha_inequalities(c: SimplicialComplex) -> list[InequalityCheck]:
-    """Evaluate the g vs alpha lower bounds applicable to this complex.
-
-    Statements, with their hypothesis gates (d = dim + 1, and j* is the
-    largest dimension of a missing face):
-      g-ge-alpha:        g_i >= alpha       for i <= (d-1)/2 and j* <= d-i-1
-      g2-ge-(d-4)alpha:  g_2 >= (d-4) alpha for flag complexes, d >= 5
-      gi-ge-(d-2i)alpha: g_i >= (d-2i) alpha for flag, 2 <= i <= (d-1)/2
-      gi-ge-2alpha:      g_i >= 2 alpha     for 2 <= i <= d/3 and
-                         j* <= min(floor((d-1)/2) - 1, d - 2i)
-    """
-    d = c.dim + 1
-    alpha, _ = independence_number(graph_of(c))
-    g = g_vector(c)
-    jstar = max_missing_dim(c)
-    flag = is_flag(c)
-    checks: list[InequalityCheck] = []
-
-    for i in range(1, (d - 1) // 2 + 1):
-        if jstar <= d - i - 1:
-            checks.append(InequalityCheck("g-ge-alpha", i, g[i], alpha, g[i] >= alpha))
-        else:
-            checks.append(InequalityCheck("g-ge-alpha", i, None, None, None,
-                                          f"missing faces of dimension {jstar} > {d - i - 1}"))
-
-    if flag and d >= 5:
-        rhs = (d - 4) * alpha
-        checks.append(InequalityCheck("g2-ge-(d-4)alpha", 2, g[2], rhs, g[2] >= rhs))
-    else:
-        checks.append(InequalityCheck("g2-ge-(d-4)alpha", 2, None, None, None,
-                                      "needs a flag complex with d >= 5"))
-
-    for i in range(2, (d - 1) // 2 + 1):
-        if flag:
-            rhs = (d - 2 * i) * alpha
-            checks.append(InequalityCheck("gi-ge-(d-2i)alpha", i, g[i], rhs, g[i] >= rhs))
-        else:
-            checks.append(InequalityCheck("gi-ge-(d-2i)alpha", i, None, None, None,
-                                          "needs a flag complex"))
-
-    for i in range(2, d // 3 + 1):
-        j = min((d - 1) // 2 - 1, d - 2 * i)
-        if jstar <= j:
-            rhs = 2 * alpha
-            checks.append(InequalityCheck("gi-ge-2alpha", i, g[i], rhs, g[i] >= rhs))
-        else:
-            checks.append(InequalityCheck("gi-ge-2alpha", i, None, None, None,
-                                          f"missing faces of dimension {jstar} > {j}"))
-    return checks
 
 
 @dataclass(frozen=True)

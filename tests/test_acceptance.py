@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import spherestress as ss
+from spherestress import verify as ver
 from spherestress.stress import SECOND_SEED_OFFSET
 
 SEED = 17
@@ -132,10 +133,12 @@ def test_criterion_08_s24_bound():
 
 
 def test_criterion_09_alpha_inequalities():
-    for name in RESIDUAL_NAMES + ["cross-7"]:
-        for row in ss.verify_alpha_inequalities(ss.build(name).complex):
-            if row.holds is not None:
-                assert row.holds, (name, row)
+    checked = [r for r in ver.run_families(["alpha-bounds"], SEED).checks if not r.probe]
+    assert {r.target.split("[")[0] for r in checked} == set(RESIDUAL_NAMES + ["cross-7"])
+    assert {r.check_id for r in checked} == {"alpha-within-turan", "g-ge-alpha", "gi-ge-2alpha",
+                                             "g2-ge-(d-4)alpha", "gi-ge-(d-2i)alpha"}
+    for row in checked:
+        assert row.holds, row
     for d in (5, 6, 7):
         sphere = ss.build(f"cross-{d}")
         c = sphere.complex

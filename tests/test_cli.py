@@ -13,6 +13,8 @@ from spherestress.verify import EXPLAIN
 
 
 ORACLE_SHA256 = "0b237a4f71e20c9c567f16b64205800ff2e3c491a86a4bdc4421709c9fafed55"
+# ``verify --explain --json``: every statement id with its text
+EXPLAIN_SHA256 = "c0ac2dd6135e36b5a8f7805a57578da0a475fd91ae806425245ec9ba34c86d83"
 
 
 def run(capsys, *argv):
@@ -440,6 +442,21 @@ class TestVerify:
         assert code == 0
         for key in EXPLAIN:
             assert key in out
+
+    def test_explain_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--explain", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPLAIN_SHA256
+
+    @pytest.mark.parametrize("argv", [["level", "--u", "9"], ["support", "--m", "3"]])
+    def test_counterexample_caps_exit_before_building(self, capsys, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(ss.catalog, "build_K", lambda *a: built.append(a))
+        monkeypatch.setattr(ss.catalog, "build_counterexample_polytope",
+                            lambda *a: built.append(a))
+        code, _, err = run(capsys, "verify", "--counterexample", *argv)
+        assert code == 2 and "desk-scale cap" in err
+        assert built == []
 
     def test_needs_a_selection(self, capsys):
         code, _, err = run(capsys, "verify")

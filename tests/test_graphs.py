@@ -1,4 +1,5 @@
-"""Tests for graph extraction, exact alpha, and the g vs alpha bounds."""
+"""Tests for graph extraction, exact alpha, and the g vs alpha bounds of
+``verify.STATEMENTS``."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,12 @@ from itertools import combinations
 import pytest
 
 import spherestress as ss
+from spherestress import catalog as cat
+from spherestress import verify as ver
 from spherestress.graphs import Graph
+
+ALPHA_IDS = ("g-ge-alpha", "g2-ge-(d-4)alpha", "gi-ge-(d-2i)alpha", "gi-ge-2alpha")
+FLAG_IDS = ("g2-ge-(d-4)alpha", "gi-ge-(d-2i)alpha")
 
 
 def alpha_exhaustive(g):
@@ -83,34 +89,35 @@ class TestTuran:
             assert Fraction(alpha) >= ss.turan_bound(f[1], f[2]), name
 
 
+def alpha_rows(name):
+    """The rows of the four g vs alpha statements of ``verify`` on one
+    catalog sphere, as (statement id, target suffix, lhs, rhs, holds)."""
+    facts = ver.Facts(ss.build(name), spaces=None)  # no alpha statement reads a stress
+    return [(sid, *row[:4]) for sid in ALPHA_IDS
+            for row in ver.STATEMENTS[sid].evaluate(facts)]
+
+
 class TestAlphaInequalities:
     def test_cross_5(self):
-        rows = {(r.statement, r.index): r for r in
-                ss.verify_alpha_inequalities(ss.build("cross-5").complex)}
+        rows = {(sid, suffix): (lhs, rhs, holds)
+                for sid, suffix, lhs, rhs, holds in alpha_rows("cross-5")}
         # flag 4-sphere, alpha = 2, g = (1, 4, 5)
-        assert rows[("g2-ge-(d-4)alpha", 2)].lhs == 5
-        assert rows[("g2-ge-(d-4)alpha", 2)].rhs == 2
-        assert rows[("g2-ge-(d-4)alpha", 2)].holds
-        assert rows[("gi-ge-(d-2i)alpha", 2)].holds
+        assert rows[("g2-ge-(d-4)alpha", "[i=2]")] == (5, 2, True)
+        assert rows[("gi-ge-(d-2i)alpha", "[i=2]")][2]
 
     def test_octahedron_skips_small_d(self):
-        rows = ss.verify_alpha_inequalities(ss.build("octahedron").complex)
-        d4 = [r for r in rows if r.statement == "g2-ge-(d-4)alpha"]
-        assert len(d4) == 1 and d4[0].holds is None
+        assert [r for r in alpha_rows("octahedron") if r[0] in FLAG_IDS] == []
 
     def test_applicable_rows_hold_on_catalog(self):
-        for name in ("octahedron", "cross-4", "cross-5", "cross-6", "cross-7",
-                     "K-2-4", "K-2-5", "cyclejoin-3-4", "cyclejoin-6-6"):
-            for r in ss.verify_alpha_inequalities(ss.build(name).complex):
-                if r.holds is not None:
-                    assert r.holds, (name, r)
+        report = ver.run_families(["alpha-bounds"], 17)
+        checked = [r for r in report.checks if r.check_id in ALPHA_IDS]
+        assert {r.target.split("[")[0] for r in checked} == {*cat.RESIDUAL, "cross-7"}
+        assert all(r.holds for r in checked)
 
     def test_gate_uses_missing_dimension(self):
-        # K(2,4) has a missing 2-face, so the flag-only statements are skipped
-        rows = ss.verify_alpha_inequalities(ss.build("K-2-4").complex)
-        flag_rows = [r for r in rows if r.statement in
-                     ("g2-ge-(d-4)alpha", "gi-ge-(d-2i)alpha")]
-        assert flag_rows and all(r.holds is None for r in flag_rows)
+        # K(2,4) has a missing 2-face, so the flag-only statements give no row
+        assert [r for r in alpha_rows("K-2-4") if r[0] in FLAG_IDS] == []
+        assert [r for r in alpha_rows("cross-5") if r[0] in FLAG_IDS]
 
 
 class TestRatioSweep:

@@ -8,6 +8,8 @@ counterexamples alike."""
 
 import functools
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from spherestress import catalog as cat
 from spherestress import cli
 from spherestress import complex_core as cc
+from spherestress import graphs as gr
 from spherestress import linalg
 from spherestress import stress as st
 from spherestress import verify as ver
@@ -202,8 +205,7 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
     monkeypatch.setattr(linalg, "modp_rank", modp_rank)
-    spaces = functools.cache(lambda c: st.StressSpaces(c, st.generic_embedding(c, SEED)))
-    assert all(r.holds for r in ver.rows_stress(SEED, functools.cache(cat.build), spaces))
+    assert ver.run_families(["stress"], SEED).ok
     facets = {name: len(cat.build(name).complex.facets) for name in SHRUNK}
     assert minors == Counter({(name, seed): n for name, n in facets.items()
                               for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
@@ -240,3 +242,70 @@ def test_level_counterexample_alone_keeps_its_socle_row(capsys, u, k, socle):
     checks = json.loads(capsys.readouterr().out)["checks"]
     rows = [(c["lhs"], c["holds"]) for c in checks if c["id"] == "counterexample-level-socle"]
     assert rows == ([(socle, True)] if socle else [])
+
+
+def test_every_explained_statement_yields_a_row(capsys):
+    assert cli.main(["verify", "--all", "--json", "--seed", str(SEED)]) == 0
+    used = {c["id"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert used == set(ver.EXPLAIN)
+
+
+def test_alpha_family_finds_each_alpha_once(monkeypatch):
+    # the four g vs alpha statements and the Turan bound read one alpha
+    # per roster sphere: the residual catalog and cross-7
+    graphs = []
+    real = gr.independence_number
+
+    def independence_number(g, *args):
+        graphs.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(gr, "independence_number", independence_number)
+    assert ver.run_families(["alpha-bounds"], SEED).ok
+    assert len(graphs) == len(cat.RESIDUAL) + 1 == 17
+    assert len(set(graphs)) == len(graphs)
+
+
+# every sphere named by a fixed roster of the table
+FIXED_ROSTERS = {*(f"boundary-simplex-{d}" for d in range(2, 9)), "octahedron", "K-2-4",
+                 "cross-4", "cross-5", "cross-6", "cross-7", "polytope-1", "polytope-2"}
+
+
+def test_rosters_read_the_catalog_lists_at_run_time(monkeypatch):
+    # with every catalog list shrunk, a run builds only the shrunken lists'
+    # spheres and those that the table names itself
+    builds = Counter()
+    real = cat.build
+
+    def build(name):
+        builds[name] += 1
+        return real(name)
+
+    monkeypatch.setattr(cat, "build", build)
+    monkeypatch.setattr(cat, "RESIDUAL", ("cyclejoin-3-3",))
+    monkeypatch.setattr(cat, "S24", ("cyclejoin-3-4",))
+    monkeypatch.setattr(cat, "catalog_names", lambda: ["cycle-5"])
+    report = ver.run_families(list(ver.FAMILIES), SEED)
+    assert report.ok
+    assert set(builds) == FIXED_ROSTERS | {"cyclejoin-3-3", "cyclejoin-3-4", "cycle-5"}
+    for name in ("cyclejoin-3-3", "cyclejoin-3-4", "cycle-5"):
+        assert any(r.target.startswith(name) for r in report.checks), name
+
+
+IMPORT_SNIPPET = """
+import spherestress.catalog as cat
+import spherestress.complex_core as cc
+built = []
+real_build, real_level = cat.build, cc.SimplicialComplex._level
+cat.build = lambda name: built.append(name) or real_build(name)
+cc.SimplicialComplex._level = lambda c, k: built.append(k) or real_level(c, k)
+import spherestress.verify
+print(built)
+"""
+
+
+def test_import_builds_no_sphere_and_no_face_level():
+    out = subprocess.run([sys.executable, "-c", IMPORT_SNIPPET],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
