@@ -112,6 +112,15 @@ class LevelCounterexampleReport:
                 and not self.level_verdict.holds)
 
 
+def check_level_parameters(u: int, k: int) -> None:
+    """Raise ValueError unless ``verify_counterexample_level(u, k)`` is
+    defined and within the desk-scale cap; builds nothing."""
+    if not u >= 3 * k >= 3:
+        raise ValueError(f"need u >= 3k >= 3, got u={u}, k={k}")
+    if u > 8:  # faces grow about 4x per u; u = 9 took 39 s and 1.4 GB on a 2-core host
+        raise ValueError("desk-scale cap: u <= 8")
+
+
 def verify_counterexample_level(u: int, k: int) -> LevelCounterexampleReport:
     """Reproduce the failure of levelness for the g-vector of K(u-k, 2u-1).
 
@@ -121,10 +130,7 @@ def verify_counterexample_level(u: int, k: int) -> LevelCounterexampleReport:
     combinatorial; the stress-space socle of the returned ``complex`` is
     checked by ``verify.rows_counterexample_level``.
     """
-    if not u >= 3 * k >= 3:
-        raise ValueError(f"need u >= 3k >= 3, got u={u}, k={k}")
-    if u > 8:  # faces grow about 4x per u; u = 9 took 39 s and 1.4 GB on a 2-core host
-        raise ValueError("desk-scale cap: u <= 8")
+    check_level_parameters(u, k)
     sphere = build_K(u - k, 2 * u)
     g = tuple(g_vector(sphere.complex))
     formula = tuple(example_g_formula(u, k, j) for j in range(u + 1))
@@ -274,6 +280,15 @@ class SupportCounterexampleReport:
                 and self.derivative_span_dim < self.g_top_minus1)
 
 
+def check_support_parameters(m: int) -> None:
+    """Raise ValueError unless ``verify_counterexample_support(m)`` is
+    defined and within the desk-scale cap; builds nothing."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if m > 2:  # m = 3 has a degree-7 system with 240,310 columns
+        raise ValueError("desk-scale cap: m <= 2")
+
+
 def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     """Reproduce the support gap of the top-degree stress space.
 
@@ -285,8 +300,7 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     absent from the support; and the span of the first derivatives of
     the top space has dimension strictly below g_{u-1}.
     """
-    if m > 2:  # m = 3 has a degree-7 system with 240,310 columns
-        raise ValueError("desk-scale cap: m <= 2")
+    check_support_parameters(m)
     sphere = build_counterexample_polytope(m)
     c = sphere.complex
     emb = sphere.natural_coords

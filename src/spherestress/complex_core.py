@@ -2,10 +2,10 @@
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
 vertex labels; all other faces are derived on demand.  A complex
-memoizes three things: its faces level by level (the one face index:
+memoizes four things: its faces level by level (the one face index:
 ``is_face`` looks a face up among the faces of its own dimension), its
-missing faces and its GF(2) homology sphere verdict.  Every operation
-returns a new value, nothing is mutated.
+missing faces, its vertex-link f-vectors and its GF(2) homology sphere
+verdict.  Every operation returns a new value, nothing is mutated.
 
 A face level is built the first time ``faces(k)`` asks for it, and
 only that level, so a caller that reads the edges pays for no larger
@@ -14,9 +14,17 @@ enumerated at most once per complex, one frozenset per distinct face:
 the level's vertex tuples from all facets are gathered into one set
 before any frozenset is made.
 
-The homology sphere test builds no link complex.  It numbers the faces
-once, reads each face's link from the face's cofaces in that numbering,
-and settles facets and ridges by counting.  Likewise the vertex-link
+The homology sphere test first splits the complex into its finest join
+factors.  A set is a face exactly when it contains no missing face, so
+the factors are the connected components of the missing-face
+hypergraph, read from the memoized missing faces; a vertex in no
+missing face makes the complex a cone, which is never a homology
+sphere.  Over a field, a join is a homology sphere exactly when each
+factor is (Milnor 1956, "Construction of universal bundles II"), so the
+verdict is the AND of the factors' verdicts.  Each factor is tested
+without building a link complex: its faces are numbered once, each
+face's link is read from the face's cofaces in that numbering, and
+facets and ridges are settled by counting.  Likewise the vertex-link
 f-vectors of the link sum rules (``enumeration``) are counted from the
 parent's faces.
 
@@ -37,10 +45,11 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 
 from .linalg import gf2_pivots
 
@@ -121,37 +130,37 @@ class SimplicialComplex:
         return tuple(out)
 
     @cached_property
-    def _z2_sphere(self) -> bool:
-        """The verdict of ``is_z2_homology_sphere`` on this pure complex.
+    def _vertex_link_f(self) -> dict[int, tuple[int, ...]]:
+        """f(lk v) for every vertex v, with no link built: f_{k-1}(lk v)
+        is the number of k-faces that contain v."""
+        counts = [Counter(chain.from_iterable(self.faces(k))) for k in range(self.dim + 1)]
+        return {v: tuple(n[v] for n in counts) for v in self.vertices}
 
-        No link complex is built.  The cofaces of each face t, one bit
-        mask over the face ids, come from the top dimension down:
-        cof(t) is t with the cofaces of every face covering t.  Shifted
-        down by |t| dimensions they are the faces of lk t, so
-        ``_z2_betti`` on them is the homology of lk t.  Facets and
-        ridges are settled by counting: a facet's link is {∅}, always
-        a (-1)-sphere, and a ridge's link is a set of points, a
-        0-sphere exactly when the ridge lies in two facets.  Only two
-        dimensions of coface masks are alive at a time.
+    @cached_property
+    def _z2_sphere(self) -> bool:
+        """The verdict of ``is_z2_homology_sphere`` on this pure complex,
+        taken over its finest join factors.
+
+        A set is a face exactly when it contains no missing face, so K
+        is the join K|X ∗ K|Y exactly when no missing face meets both X
+        and Y: the finest join factors are the vertex sets of the
+        connected components of the missing-face hypergraph.  A vertex
+        in no missing face is a cone point (every face extends by it),
+        and a cone is acyclic, so never a homology sphere; a lone simplex
+        is such a cone.  Over a field, A ∗ B is a homology sphere exactly
+        when A and B are (Milnor 1956: the reduced homology of A ∗ B is
+        that of A tensored with that of B, shifted up by one, and
+        lk(σ ⊔ τ) = lk_A σ ∗ lk_B τ).  A factor K|X of a pure join is
+        pure and its missing faces are those of K inside X, so it has
+        one factor, and ``_coface_sphere`` decides it directly.
         """
-        down, boundary, starts = _numbered_faces(self)
-        top = len(starts) - 2  # the facets' level; level i holds the (i-1)-faces
-        cof = [1 << s for s in range(starts[top], starts[top + 1])]
-        for lv in range(top - 1, -1, -1):
-            first, above = starts[lv], cof
-            cof = [1 << s for s in range(first, starts[lv + 1])]
-            for s, m in enumerate(above, starts[lv + 1]):
-                for t in down[s]:
-                    cof[t - first] |= m
-            if lv == top - 1:
-                if any(m.bit_count() != 3 for m in cof):  # a ridge and two facets
-                    return False
-                continue
-            for m in cof:
-                betti = _z2_betti(boundary, starts, lv, m)
-                if betti[-1] != 1 or any(betti[:-1]):
-                    return False
-        return True
+        mfs = self._missing_faces
+        if len(frozenset().union(*mfs)) < len(self.vertices):
+            return False
+        factors = _components(self.vertices, ((min(s), v) for s in mfs for v in s))
+        if len(factors) == 1:
+            return _coface_sphere(self)
+        return all(_coface_sphere(induced(self, x)) for x in factors)
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
@@ -170,6 +179,26 @@ def _maximalize(sets: list[frozenset[int]]) -> frozenset[frozenset[int]]:
     for _, same_size in groupby(sorted(set(sets), key=len, reverse=True), key=len):
         kept += [s for s in same_size if not any(s < k for k in kept)]
     return frozenset(kept)
+
+
+def _components(items, pairs) -> list[list]:
+    """Connected components of the graph on items whose edges are pairs,
+    by union-find.  Each component keeps the order of items, and the
+    components are ordered by their first item."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    comps: dict = {}
+    for x in items:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
 
 
 def _make(facet_sets) -> SimplicialComplex:
@@ -469,6 +498,38 @@ def _z2_betti(boundary: list[int], starts: list[int], low: int, cells: int) -> l
     return [counts[lv] - ranks[lv] - ranks[lv + 1] for lv in range(low, top + 1)]
 
 
+def _coface_sphere(c: SimplicialComplex) -> bool:
+    """The homology sphere test on the pure complex ``c`` as one piece.
+
+    No link complex is built.  The cofaces of each face t, one bit mask
+    over the face ids, come from the top dimension down: cof(t) is t
+    with the cofaces of every face covering t.  Shifted down by |t|
+    dimensions they are the faces of lk t, so ``_z2_betti`` on them is
+    the homology of lk t.  Facets and ridges are settled by counting: a
+    facet's link is {∅}, always a (-1)-sphere, and a ridge's link is a
+    set of points, a 0-sphere exactly when the ridge lies in two facets.
+    Only two dimensions of coface masks are alive at a time.
+    """
+    down, boundary, starts = _numbered_faces(c)
+    top = len(starts) - 2  # the facets' level; level i holds the (i-1)-faces
+    cof = [1 << s for s in range(starts[top], starts[top + 1])]
+    for lv in range(top - 1, -1, -1):
+        first, above = starts[lv], cof
+        cof = [1 << s for s in range(first, starts[lv + 1])]
+        for s, m in enumerate(above, starts[lv + 1]):
+            for t in down[s]:
+                cof[t - first] |= m
+        if lv == top - 1:
+            if any(m.bit_count() != 3 for m in cof):  # a ridge and two facets
+                return False
+            continue
+        for m in cof:
+            betti = _z2_betti(boundary, starts, lv, m)
+            if betti[-1] != 1 or any(betti[:-1]):
+                return False
+    return True
+
+
 def z2_reduced_betti(c: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers over GF(2), indexed from dimension -1.
 
@@ -483,9 +544,10 @@ def z2_reduced_betti(c: SimplicialComplex) -> list[int]:
 def is_z2_homology_sphere(c: SimplicialComplex) -> bool:
     """True when every face link (the empty face's, the whole complex,
     included) has the reduced GF(2) homology of a sphere of the matching
-    dimension.  Links are read from the cofaces of each face, not built
-    as complexes; facets pass by definition and a ridge passes when it
-    lies in exactly two facets.  The verdict is computed once per
+    dimension.  A cone is rejected outright, and a join is judged
+    factor by factor.  Links are read from the cofaces of each face, not
+    built as complexes; facets pass by definition and a ridge passes when
+    it lies in exactly two facets.  The verdict is computed once per
     complex; a non-pure complex raises ValueError."""
     if c is EMPTY:
         return True

@@ -14,10 +14,8 @@ Conventions, for a complex of dimension d-1:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from .complex_core import SimplicialComplex, max_missing_dim
@@ -120,11 +118,11 @@ def vertex_link_f_vectors(c: SimplicialComplex) -> dict[int, list[int]]:
     """f(lk v) for every vertex v of a pure complex, with no link built:
     f_{k-1}(lk v) is the number of k-faces of c that contain v.  Every
     vertex link of a pure (d-1)-complex has dimension d-2, so each vector
-    has length d."""
+    has length d.  Counted once per complex; each call returns fresh
+    lists."""
     if not c.is_pure():
         raise ValueError("vertex-link sum rule needs a pure complex")
-    counts = [Counter(chain.from_iterable(c.faces(k))) for k in range(c.dim + 1)]
-    return {v: [n[v] for n in counts] for v in c.vertices}
+    return {v: list(f) for v, f in c._vertex_link_f.items()}
 
 
 def mcmullen_residual(c: SimplicialComplex, k: int) -> int:

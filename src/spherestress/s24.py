@@ -105,28 +105,8 @@ def find_induced_gamma(c: SimplicialComplex) -> list[tuple[frozenset[int], tuple
     return hits
 
 
-def _components(items, pairs) -> list[list]:
-    """Connected components of the graph on items whose edges are pairs,
-    by union-find.  Each component keeps the order of items, and the
-    components are ordered by their first item."""
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        parent[find(a)] = find(b)
-    comps: dict = {}
-    for x in items:
-        comps.setdefault(find(x), []).append(x)
-    return list(comps.values())
-
-
 def _component_sizes(c: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(sorted(len(comp) for comp in _components(c.vertices, c.faces(1))))
+    return tuple(sorted(len(comp) for comp in cc._components(c.vertices, c.faces(1))))
 
 
 class GammaDoesNotSeparate(ValueError):
@@ -157,7 +137,7 @@ def split_along_gamma(c: SimplicialComplex, subset) -> tuple[SimplicialComplex, 
             ridge_map.setdefault(f - {v}, []).append(f)
     adjacent = [(fs[0], other) for ridge, fs in ridge_map.items()
                 if not ridge <= w for other in fs[1:]]
-    sides = _components(facets, adjacent)
+    sides = cc._components(facets, adjacent)
     if len(sides) != 2:
         raise GammaDoesNotSeparate(
             f"adjacency graph falls into {len(sides)} parts, expected 2")

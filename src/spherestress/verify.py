@@ -370,6 +370,13 @@ COUNTEREXAMPLES = {
     "support": rows_counterexample_support,
 }
 
+# Each counterexample's parameter check, which ``run_families`` runs
+# before any statement so that bad parameters fail at once.
+_PARAMETER_CHECKS = {
+    "level": cat.check_level_parameters,
+    "support": cat.check_support_parameters,
+}
+
 # The statements that the counterexamples' rows check.
 _COUNTEREXAMPLE_TEXTS = {
     "counterexample-level-formula": "the g-vector of the join of two boundary (u-k)-simplices "
@@ -409,7 +416,10 @@ def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
     so every statement and counterexample reads the same sphere objects
     and shares what each complex memoizes; its ``spaces`` holds one
     ``stress.StressSpaces`` per complex, by value, under the seed's
-    generic embedding; and each sphere has one ``Facts``."""
+    generic embedding; and each sphere has one ``Facts``.  Every
+    counterexample's parameters are checked before anything runs."""
+    for kind, *params in counterexamples:
+        _PARAMETER_CHECKS[kind](*params)
     build = functools.cache(cat.build)
     spaces = functools.cache(lambda c: st.StressSpaces(c, st.generic_embedding(c, seed)))
     facts = functools.cache(lambda name: Facts(build(name), spaces))

@@ -6,11 +6,13 @@ on a loaded host can be slow.  Each ``@settings`` sets only its
 ``max_examples``.
 
 The ``level_builds`` fixture records every face level a complex builds,
-and ``degenerate_second_seed`` makes the two seeds of the stress
-certificate disagree.
+``computations`` records every complex that computes a memoized
+property, and ``degenerate_second_seed`` makes the two seeds of the
+stress certificate disagree.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import settings
@@ -33,6 +35,24 @@ def level_builds(monkeypatch):
         return real(self, k)
     monkeypatch.setattr(cc.SimplicialComplex, "_level", spy)
     return built
+
+
+@pytest.fixture
+def computations(monkeypatch):
+    """A function that takes the name of a memoized ``SimplicialComplex``
+    property and returns a list that receives each complex when it
+    computes that property."""
+    def spy_on(name):
+        made, real = [], getattr(cc.SimplicialComplex, name).func
+
+        def spy(self):
+            made.append(self)
+            return real(self)
+        prop = cached_property(spy)
+        prop.__set_name__(cc.SimplicialComplex, name)
+        monkeypatch.setattr(cc.SimplicialComplex, name, prop)
+        return made
+    return spy_on
 
 
 @pytest.fixture

@@ -458,6 +458,18 @@ class TestVerify:
         assert code == 2 and "desk-scale cap" in err
         assert built == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--u", "9"], "desk-scale cap: u <= 8"), (["--u", "2"], "need u >= 3k >= 3"),
+        (["--m", "3"], "desk-scale cap: m <= 2"), (["--m", "0"], "need m >= 1")],
+        ids=["u-9", "u-2", "m-3", "m-0"])
+    def test_all_checks_counterexample_parameters_first(self, capsys, monkeypatch,
+                                                         argv, message):
+        built = []
+        monkeypatch.setattr(ss.catalog, "build", lambda *a: built.append(a))
+        code, _, err = run(capsys, "verify", "--all", *argv)
+        assert code == 2 and message in err
+        assert built == []
+
     def test_needs_a_selection(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2

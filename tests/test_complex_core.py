@@ -358,6 +358,16 @@ NOT_SPHERES = {
     "three-points": [[1], [2], [3]],
 }
 
+# Joins of a non-sphere with a sphere, and the non-sphere (one join
+# factor, or several) on either side.
+NOT_SPHERE_JOINS = {
+    "rp2-join-cycle-4": (ss.from_facets(RP2), ss.cycle(4)),
+    "rp2-join-boundary-simplex-3": (ss.from_facets(RP2), ss.boundary_simplex(3)),
+    "torus-join-two-points": (ss.from_facets(TORUS), ss.boundary_simplex(1)),
+    "square-join-three-points-join-cycle-5": (
+        ss.from_facets(NOT_SPHERES["square-join-three-points"]), ss.cycle(5)),
+}
+
 SMALL_SPHERES = {
     "two-points": ss.from_facets([[1], [2]]),
     "cycle-5": ss.cycle(5),
@@ -420,7 +430,7 @@ class TestHomology:
         from spherestress.complex_core import z2_reduced_betti
         assert z2_reduced_betti(EMPTY) == [1]
 
-    @pytest.mark.parametrize("name", ["octahedron", "disk"])
+    @pytest.mark.parametrize("name", ["boundary-simplex-3", "octahedron", "disk"])
     def test_verdict_computed_once(self, name, monkeypatch):
         c = (ss.from_facets([[1, 2, 3]]) if name == "disk"
              else ss.build(name).complex)
@@ -429,12 +439,43 @@ class TestHomology:
             real = getattr(cc, fn)
             monkeypatch.setattr(cc, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
         first = ss.is_z2_homology_sphere(c)
-        assert "_numbered_faces" in calls
-        # the disk's edges lie in one triangle each: settled by counting
-        assert ("gf2_pivots" in calls) == (name != "disk")
+        # the boundary simplex is one join factor and takes the coface
+        # test; the octahedron is the join of three pairs of points, each
+        # numbered and settled by counting (its ridge, the empty face,
+        # lies in two facets); the disk is a cone, rejected unnumbered
+        numbered = {"boundary-simplex-3": 1, "octahedron": 3, "disk": 0}[name]
+        assert calls.count("_numbered_faces") == numbered
+        assert ("gf2_pivots" in calls) == (name == "boundary-simplex-3")
         calls.clear()
         assert ss.is_z2_homology_sphere(c) == first == (name != "disk")
         assert calls == []
+
+    @pytest.mark.parametrize("name", ss.catalog_names())
+    def test_factored_verdict_matches_coface_test(self, name):
+        c = ss.build(name).complex
+        assert ss.is_z2_homology_sphere(c) is cc._coface_sphere(c) is True
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("name", NOT_SPHERE_JOINS)
+    def test_joins_with_a_non_sphere_rejected(self, name, first):
+        a, b = NOT_SPHERE_JOINS[name]
+        c = ss.join(a, b) if first else ss.join(b, a)
+        assert not reference_z2_sphere(c)
+        assert not cc._coface_sphere(c)
+        assert not ss.is_z2_homology_sphere(c)
+
+    def test_cone_rejected_before_numbering(self, monkeypatch):
+        c = ss.cone(ss.cycle(5))
+        assert not reference_z2_sphere(c)
+        assert not cc._coface_sphere(c)
+        monkeypatch.setattr(cc, "_numbered_faces", None)
+        assert not ss.is_z2_homology_sphere(c)
+
+    @settings(max_examples=60)
+    @given(pure_complexes(), pure_complexes())
+    def test_joins_match_link_by_link_reference(self, a, b):
+        c = ss.join(a, b)
+        assert ss.is_z2_homology_sphere(c) == reference_z2_sphere(c)
 
     @pytest.mark.parametrize("name", NOT_SPHERES)
     def test_fixed_non_spheres(self, name):

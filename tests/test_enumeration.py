@@ -208,6 +208,19 @@ class TestLinkSumRules:
         assert all(x is c for x, _ in level_builds)
         assert sorted(k for _, k in level_builds) == list(range(-1, c.dim + 1))
 
+    def test_k_sweep_counts_vertex_links_once(self, computations):
+        counted = computations("_vertex_link_f")
+        c = ss.build("cyclejoin-3-5").complex
+        d = c.dim + 1
+        for k in range((d - 1) // 2 + 1):
+            assert ss.mcmullen_residual(c, k) == 0
+            assert ss.gamma_mcmullen_residual(c, k) == 0
+        assert counted == [c]
+        # each call hands out fresh lists
+        links = en.vertex_link_f_vectors(c)
+        links[1].append(0)
+        assert en.vertex_link_f_vectors(c) != links
+
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
             ss.mcmullen_residual(ss.build("octahedron").complex, 2)

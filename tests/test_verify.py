@@ -16,7 +16,6 @@ import pytest
 
 from spherestress import catalog as cat
 from spherestress import cli
-from spherestress import complex_core as cc
 from spherestress import graphs as gr
 from spherestress import linalg
 from spherestress import stress as st
@@ -112,10 +111,10 @@ def socle_rows(report):
     return [r for r in report.checks if r.check_id in SOCLE_IDS]
 
 
-def test_each_sphere_built_and_numbered_once_per_run(monkeypatch):
-    builds, numbered = Counter(), Counter()
+def test_each_sphere_built_and_judged_once_per_run(monkeypatch, computations):
+    builds = Counter()
     names = {}  # id of a built complex -> (complex, name)
-    real_build, real_numbered = cat.build, cc._numbered_faces
+    real_build = cat.build
 
     def build(name):
         builds[name] += 1
@@ -123,17 +122,13 @@ def test_each_sphere_built_and_numbered_once_per_run(monkeypatch):
         names[id(sphere.complex)] = (sphere.complex, name)
         return sphere
 
-    def numbered_faces(c):
-        if id(c) in names:
-            numbered[names[id(c)][1]] += 1
-        return real_numbered(c)
-
     monkeypatch.setattr(cat, "build", build)
-    monkeypatch.setattr(cc, "_numbered_faces", numbered_faces)
+    judged = computations("_z2_sphere")
     assert ver.run_families(list(ver.FAMILIES), SEED).ok
     assert set(builds) == set(cat.catalog_names())
     assert max(builds.values()) == 1
-    assert numbered and max(numbered.values()) == 1
+    verdicts = Counter(names[id(c)][1] for c in judged if id(c) in names)
+    assert verdicts and max(verdicts.values()) == 1
 
 
 def test_stress_family_ranks_both_seeds(calls):
