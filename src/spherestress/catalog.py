@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from . import complex_core as cc
+from . import linalg
 from . import stress as st
 from .complex_core import SimplicialComplex, missing_faces
 from .enumeration import InvariantVectors, g_vector, invariants
@@ -294,11 +295,13 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
 
     Checks, all exact, on polytope-m with its natural embedding: the
     explicit product stress satisfies every operator equation; the
-    degree-u stress space is one-dimensional and spanned by it; the
-    coefficient of y1^m y2^m y3 vanishes; consequently every face made
-    of m vertices from each simplex group plus one triangle vertex is
-    absent from the support; and the span of the first derivatives of
-    the top space has dimension strictly below g_{u-1}.
+    degree-u stress space is one-dimensional (its dimension read from
+    the certificate of ``stress.StressSpaces``), so the nonzero explicit
+    stress spans it; the coefficient of y1^m y2^m y3 vanishes;
+    consequently every face made of m vertices from each simplex group
+    plus one triangle vertex is absent from the support; and the first
+    derivatives of the explicit stress, which spans the top space, span
+    a space of dimension strictly below g_{u-1}.
     """
     check_support_parameters(m)
     sphere = build_counterexample_polytope(m)
@@ -308,17 +311,7 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     f_poly, f_y = support_stress_polynomial(m)
 
     ops_hold = st.is_stress(c, emb, f_poly) and not f_poly.is_zero()
-
-    spaces = st.StressSpaces(c, emb)
-    basis = spaces.basis(u)
-    spans = False
-    if len(basis) == 1:
-        b0 = basis[0]
-        common = next(iter(f_poly.terms))
-        denom = b0.terms.get(common)
-        if denom:
-            ratio = f_poly.terms[common] / denom
-            spans = b0.scaled(ratio).terms == f_poly.terms
+    [dim] = st.StressSpaces(c, emb).dims([u])
 
     mixed = f_y.get((m, m, 1), Fraction(0))
 
@@ -331,13 +324,13 @@ def verify_counterexample_support(m: int) -> SupportCounterexampleReport:
     unsupported = sum(1 for face in candidates
                       if c.is_face(face) and not f_poly.participates(face))
 
-    span = spaces.derivative_span_dim(u - 1)
+    span = linalg.rank_of(st._derivatives([f_poly.terms]))
     g = g_vector(c)
     return SupportCounterexampleReport(
         name=sphere.name, m=m, u=u,
         operator_equations_hold=ops_hold,
-        stress_space_dim=len(basis),
-        explicit_stress_spans=spans,
+        stress_space_dim=dim,
+        explicit_stress_spans=ops_hold and dim == 1,
         mixed_coefficient=mixed,
         candidate_faces=len(candidates),
         unsupported_faces=unsupported,

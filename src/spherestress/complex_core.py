@@ -2,17 +2,14 @@
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
 vertex labels; all other faces are derived on demand.  A complex
-memoizes four things: its faces level by level (the one face index:
-``is_face`` looks a face up among the faces of its own dimension), its
-missing faces, its vertex-link f-vectors and its GF(2) homology sphere
-verdict.  Every operation returns a new value, nothing is mutated.
-
-A face level is built the first time ``faces(k)`` asks for it, and
-only that level, so a caller that reads the edges pays for no larger
-face.  ``faces_by_dim`` hands out the same levels.  Each level is
-enumerated at most once per complex, one frozenset per distinct face:
-the level's vertex tuples from all facets are gathered into one set
-before any frozenset is made.
+memoizes four things: its faces level by level as sorted vertex tuples
+(the one face index; ``_subsets`` builds a level, once, when a reader
+first asks for it), its missing faces, its vertex-link f-vectors and
+its GF(2) homology sphere verdict.  Every operation returns a new
+value, nothing is mutated.  Readers inside the package that count or
+walk faces read the index; frozensets are made only at the public
+boundary (``faces(k)``, ``faces_by_dim``, ``is_face``,
+``missing_faces``), and only when it is called.
 
 The homology sphere test first splits the complex into its finest join
 factors.  A set is a face exactly when it contains no missing face, so
@@ -29,11 +26,10 @@ f-vectors of the link sum rules (``enumeration``) are counted from the
 parent's faces.
 
 A trial edge contraction builds no complex either:
-``contraction_missing_faces`` decides the missing faces after the
-contraction from the parent's memoized missing faces and the faces of
-the facets through the edge.  The new missing faces come from one
-search, smallest first, which the admissibility test of ``s24`` stops
-at the first one it cannot accept.
+``contraction_missing_faces`` keeps the parent's missing faces that
+avoid the edge and runs ``_minimal_non_faces`` on the link of the new
+vertex for the rest, smallest first, so the admissibility test of
+``s24`` stops at the first one it cannot accept.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -68,8 +64,13 @@ class SimplicialComplex:
     dim: int
 
     @cached_property
-    def _face_levels(self) -> dict[int, frozenset[frozenset[int]]]:
-        """The face levels built so far, by dimension; ``faces`` fills it."""
+    def _face_levels(self) -> dict[int, set[tuple[int, ...]]]:
+        """The index: the sorted-tuple levels built so far, by dimension."""
+        return {}
+
+    @cached_property
+    def _face_sets(self) -> dict[int, frozenset[frozenset[int]]]:
+        """The levels ``faces`` has handed out, by dimension."""
         return {}
 
     @cached_property
@@ -77,26 +78,26 @@ class SimplicialComplex:
         """Each facet as a sorted list, shared by the level builds."""
         return [sorted(f) for f in self.facets]
 
-    def _level(self, k: int) -> frozenset[frozenset[int]]:
-        """The k-faces, built from the facets.
+    def _level(self, k: int) -> set[tuple[int, ...]]:
+        """The k-faces as sorted tuples, built from the facets."""
+        return _subsets(self._sorted_facets, k + 1)
 
-        The sorted (k+1)-vertex tuples of all facets are gathered into
-        one set first, so a face that several facets share becomes a
-        frozenset once.
-        """
-        level: set[tuple[int, ...]] = set()
-        for f in self._sorted_facets:
-            level.update(combinations(f, k + 1))
-        return frozenset(map(frozenset, level))
-
-    def faces(self, k: int) -> frozenset[frozenset[int]]:
-        """The k-dimensional faces (k = -1 gives {∅}).  Level k is built
-        the first time it is asked for and memoized."""
+    def _tuples(self, k: int) -> set[tuple[int, ...]]:
+        """The k-faces as sorted (k+1)-tuples (k = -1 gives {()}).  Level
+        k is built the first time it is asked for and memoized."""
         level = self._face_levels.get(k)
         if level is None:
             if not -1 <= k <= self.dim:
-                return frozenset()
+                return set()
             level = self._face_levels[k] = self._level(k)
+        return level
+
+    def faces(self, k: int) -> frozenset[frozenset[int]]:
+        """The k-dimensional faces (k = -1 gives {∅}), made from the
+        index the first time they are asked for and memoized."""
+        level = self._face_sets.get(k)
+        if level is None:
+            level = self._face_sets[k] = frozenset(map(frozenset, self._tuples(k)))
         return level
 
     @cached_property
@@ -110,30 +111,17 @@ class SimplicialComplex:
         return t in self.faces(len(t) - 1)
 
     @cached_property
-    def _missing_faces(self) -> tuple[frozenset[int], ...]:
-        """All missing faces, sorted by (dimension, vertex labels).
-
-        Every proper subset of a missing face s is a face, s - {max s}
-        among them, so each candidate is generated exactly once: a face f
-        plus a vertex above max(f).
-        """
-        verts = self.vertices
-        out: list[frozenset[int]] = []
-        for k in range(self.dim + 1):
-            level, above = self.faces(k), self.faces(k + 1)
-            for f in level:
-                for v in verts[bisect_right(verts, max(f)):]:
-                    s = f | {v}
-                    if s not in above and all(s - {u} in level for u in f):
-                        out.append(s)
-        out.sort(key=lambda s: (len(s), sorted(s)))
-        return tuple(out)
+    def _missing_faces(self) -> tuple[tuple[int, ...], ...]:
+        """All missing faces as sorted tuples, sorted by (dimension,
+        vertex labels): the minimal non-faces of the index."""
+        found = _minimal_non_faces(lambda n: self._tuples(n - 1), self.vertices, 2)
+        return tuple(sorted(found, key=lambda t: (len(t), t)))
 
     @cached_property
     def _vertex_link_f(self) -> dict[int, tuple[int, ...]]:
         """f(lk v) for every vertex v, with no link built: f_{k-1}(lk v)
         is the number of k-faces that contain v."""
-        counts = [Counter(chain.from_iterable(self.faces(k))) for k in range(self.dim + 1)]
+        counts = [Counter(chain.from_iterable(self._tuples(k))) for k in range(self.dim + 1)]
         return {v: tuple(n[v] for n in counts) for v in self.vertices}
 
     @cached_property
@@ -157,7 +145,7 @@ class SimplicialComplex:
         mfs = self._missing_faces
         if len(frozenset().union(*mfs)) < len(self.vertices):
             return False
-        factors = _components(self.vertices, ((min(s), v) for s in mfs for v in s))
+        factors = _components(self.vertices, ((s[0], v) for s in mfs for v in s))
         if len(factors) == 1:
             return _coface_sphere(self)
         return all(_coface_sphere(induced(self, x)) for x in factors)
@@ -199,6 +187,38 @@ def _components(items, pairs) -> list[list]:
     for x in items:
         comps.setdefault(find(x), []).append(x)
     return list(comps.values())
+
+
+def _subsets(sorted_lists, size: int) -> set[tuple[int, ...]]:
+    """The ``size``-element subsets of the sorted vertex lists, as sorted
+    tuples gathered into one set: a face level of the complex whose
+    facets are the lists.  This is the one level builder."""
+    level: set[tuple[int, ...]] = set()
+    for f in sorted_lists:
+        level.update(combinations(f, size))
+    return level
+
+
+def _minimal_non_faces(level, verts, smallest: int):
+    """The minimal non-faces with at least ``smallest`` >= 2 vertices,
+    as sorted tuples, smallest first, of the complex on the sorted
+    labels ``verts`` whose n-vertex faces are the sorted tuples
+    ``level(n)``, asked for once per n, in increasing order.
+
+    Every proper subset of a minimal non-face t is a face, t minus its
+    largest vertex among them, so each candidate is made once: a face f
+    plus a vertex above f[-1], kept when it is no face and t minus any
+    one vertex of f is a face."""
+    n = smallest - 1
+    faces = level(n)
+    while faces:
+        above = level(n + 1)
+        for f in faces:
+            for v in verts[bisect_right(verts, f[-1]):]:
+                t = f + (v,)
+                if t not in above and all(t[:i] + t[i + 1:] in faces for i in range(n)):
+                    yield t
+        n, faces = n + 1, above
 
 
 def _make(facet_sets) -> SimplicialComplex:
@@ -311,7 +331,7 @@ def skeleton(c: SimplicialComplex, k: int) -> SimplicialComplex:
     if not 0 <= k <= c.dim:
         raise ValueError(f"skeleton dimension {k} out of range 0..{c.dim}")
     small = [f for f in c.facets if len(f) <= k]
-    return _make(list(c.faces(k)) + small)
+    return _make(list(c._tuples(k)) + small)
 
 
 def induced(c: SimplicialComplex, w) -> SimplicialComplex:
@@ -330,7 +350,7 @@ def missing_faces(c: SimplicialComplex) -> list[frozenset[int]]:
 
     Computed once per complex; each call returns a fresh list.
     """
-    return list(c._missing_faces)
+    return [frozenset(s) for s in c._missing_faces]
 
 
 def missing_face_counts(c: SimplicialComplex) -> dict[int, int]:
@@ -369,11 +389,11 @@ class InadmissibleContraction(ValueError):
 def _contractible_edge(c: SimplicialComplex, u: int, v: int) -> frozenset[int]:
     """The edge uv, checked to lie in no missing face of ``c``."""
     e = frozenset({u, v})
-    if not c.is_face(e):
+    if tuple(sorted(e)) not in c._tuples(len(e) - 1):
         raise ValueError(f"{sorted(e)} is not an edge")
     for s in c._missing_faces:
-        if e <= s:
-            raise InadmissibleContraction(e, s)
+        if u in s and v in s:
+            raise InadmissibleContraction(e, frozenset(s))
     return e
 
 
@@ -402,10 +422,10 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[froz
     """
     e = _contractible_edge(c, u, v)
     w = max(c.vertices) + 1
-    out = [s for s in c._missing_faces if not s & e]
-    out += [frozenset((*t, w)) for t in _new_missing_faces(c, e, 1)]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    out = [s for s in c._missing_faces if e.isdisjoint(s)]
+    out += [t + (w,) for t in _new_missing_faces(c, e, 1)]
+    out.sort(key=lambda t: (len(t), t))
+    return [frozenset(s) for s in out]
 
 
 def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):
@@ -413,32 +433,20 @@ def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):
     T ∪ {w} is a missing face after contracting the edge e of ``c`` to
     a new vertex w; smallest |T| first, so a caller may stop early.
 
-    lk(w) consists of the faces of F - e over the facets F meeting e,
-    and T ∪ {w} is missing exactly when T is a face of ``c`` avoiding e,
-    T is not in lk(w), and every T minus one vertex is.  A single
-    vertex T qualifies when it is adjacent to neither end of e.  A
-    larger T has its vertices in lk(w), so it is a face of lk(w) plus a
-    vertex of lk(w) above its largest label, as in ``_missing_faces``.
+    lk(w) is the complex whose facets are F - e over the facets F
+    meeting e, and T ∪ {w} is missing exactly when T is a face of ``c``
+    avoiding e that is a minimal non-face of lk(w).  A single vertex T
+    qualifies when it is adjacent to neither end of e.  A larger T is a
+    minimal non-face of lk(w) from ``_minimal_non_faces`` that is a
+    face of ``c``, read from the index of ``c``.
     """
     star = [sorted(f - e) for f in c.facets if f & e]
-    lk: list[set[tuple[int, ...]]] = [{()}]  # faces of lk(w) by size, sorted tuples
-    for k in range(1, max(map(len, star)) + 1):
-        level: set[tuple[int, ...]] = set()
-        for f in star:
-            level.update(combinations(f, k))
-        lk.append(level)
-    lk.append(set())
+    near = set(chain.from_iterable(star))  # the vertices of lk(w)
     if smallest <= 1:
-        yield from ((x,) for x in c.vertices if x not in e and (x,) not in lk[1])
-    near = sorted(x for (x,) in lk[1])
-    for k in range(max(smallest - 1, 1), len(lk) - 1):
-        level, above, faces = lk[k], lk[k + 1], c.faces(k)
-        for f in level:
-            for y in near[bisect_right(near, f[-1]):]:
-                t = f + (y,)
-                if t not in above and all(t[:i] + t[i + 1:] in level for i in range(k)) \
-                        and frozenset(t) in faces:
-                    yield t
+        yield from ((x,) for x in c.vertices if x not in e and x not in near)
+    for t in _minimal_non_faces(lambda n: _subsets(star, n), sorted(near), max(smallest, 2)):
+        if t in c._tuples(len(t) - 1):
+            yield t
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +460,15 @@ def _numbered_faces(c: SimplicialComplex):
     bit mask, and the first id of every level (level i holds the
     (i-1)-faces) followed by the face count.
     """
-    ids: dict[frozenset[int], int] = {}
+    ids: dict[tuple[int, ...], int] = {}
     down: list[tuple[int, ...]] = []
     boundary: list[int] = []
     starts = []
     for k in range(-1, c.dim + 1):
         starts.append(len(down))
-        for f in c.faces(k):
-            ids[f] = len(down)
-            below = tuple(ids[f - {v}] for v in f)
+        for t in c._tuples(k):
+            ids[t] = len(down)
+            below = tuple(ids[t[:i] + t[i + 1:]] for i in range(k + 1))
             down.append(below)
             boundary.append(sum(1 << b for b in below))
     starts.append(len(down))
@@ -568,7 +576,7 @@ def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
         return False
 
     def profile(c, v):
-        deg = sum(1 for e in c.faces(1) if v in e)
+        deg = sum(1 for e in c._tuples(1) if v in e)
         in_facets = sorted(len(f) for f in c.facets if v in f)
         return (deg, tuple(in_facets))
 
@@ -577,8 +585,8 @@ def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return False
 
-    adj_a = {v: {u for e in a.faces(1) if v in e for u in e if u != v} for v in a.vertices}
-    adj_b = {v: {u for e in b.faces(1) if v in e for u in e if u != v} for v in b.vertices}
+    adj_a = {v: {u for e in a._tuples(1) if v in e for u in e if u != v} for v in a.vertices}
+    adj_b = {v: {u for e in b._tuples(1) if v in e for u in e if u != v} for v in b.vertices}
     order = sorted(a.vertices, key=lambda v: (prof_a[v], v))
 
     def extend(i, mapping, used):

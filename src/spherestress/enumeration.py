@@ -23,7 +23,7 @@ from .complex_core import SimplicialComplex, max_missing_dim
 
 def f_vector(c: SimplicialComplex) -> list[int]:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}) by direct enumeration."""
-    return [len(c.faces(k)) for k in range(-1, c.dim + 1)]
+    return [len(c._tuples(k)) for k in range(-1, c.dim + 1)]
 
 
 def h_from_f(f: list[int], d: int) -> list[int]:

@@ -55,11 +55,11 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     refused exactly when a new missing face has |T| >= 3, and the
     search for one (``cc._new_missing_faces``) stops at the first."""
     _require_s24(c)
-    mfs = missing_faces(c)
     out = []
-    for e in sorted(c.faces(1), key=sorted):
-        if any(e <= m for m in mfs):
+    for u, v in sorted(c._tuples(1)):
+        if any(u in m and v in m for m in c._missing_faces):
             continue
+        e = frozenset((u, v))
         if next(cc._new_missing_faces(c, e, 3), None) is None:
             out.append(e)
     return out
@@ -106,7 +106,7 @@ def find_induced_gamma(c: SimplicialComplex) -> list[tuple[frozenset[int], tuple
 
 
 def _component_sizes(c: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(sorted(len(comp) for comp in cc._components(c.vertices, c.faces(1))))
+    return tuple(sorted(len(comp) for comp in cc._components(c.vertices, c._tuples(1))))
 
 
 class GammaDoesNotSeparate(ValueError):
@@ -246,7 +246,7 @@ def classify_g2_one(c: SimplicialComplex):
         if len(rest) < 4:
             continue
         sub = cc.induced(c, rest)
-        if sub.dim != 1 or len(sub.faces(1)) != len(rest):
+        if sub.dim != 1 or len(sub._tuples(1)) != len(rest):
             continue
         if _component_sizes(sub) != (len(rest),):
             continue

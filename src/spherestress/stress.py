@@ -51,12 +51,11 @@ each computed at most once and only on request; a caller holds one per
 embedding, and ``verify`` keeps one per complex for a whole run.
 
 The exported bases (``StressSpaces.basis``, and through it
-``StressSpaces.derivative_span_dim``, ``cone_lift_check``,
-``star_stress_witness`` and the support counterexample) are exact
-kernels over Q.  A degree not yet computed is eliminated over Q alone,
-so a caller that asks only for bases converts nothing mod p and runs no
-l.s.o.p. test; a degree that ``stresses`` kept mod p is eliminated over
-Q once and replaced.
+``StressSpaces.derivative_span_dim``, ``cone_lift_check`` and
+``star_stress_witness``) are exact kernels over Q.  A degree not yet
+computed is eliminated over Q alone, so a caller that asks only for
+bases converts nothing mod p and runs no l.s.o.p. test; a degree that
+``stresses`` kept mod p is eliminated over Q once and replaced.
 
 Monomials are encoded as sorted tuples of vertex labels with repetition,
 e.g. x_2^2 x_5 = (2, 2, 5); within a degree they are ordered
@@ -170,8 +169,7 @@ def face_monomials(c: SimplicialComplex, k: int) -> list[Monomial]:
         return [()]
     out: list[Monomial] = []
     for size in range(1, k + 1):
-        for f in c.faces(size - 1):
-            support = sorted(f)
+        for support in c._tuples(size - 1):
             # compositions of k into len(support) positive parts
             for bars in combinations(range(1, k), size - 1):
                 cuts = (0,) + bars + (k,)

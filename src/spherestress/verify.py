@@ -388,7 +388,7 @@ _COUNTEREXAMPLE_TEXTS = {
     "counterexample-support-operators": "the explicit product stress satisfies all d+1 operator "
                                         "equations exactly",
     "counterexample-support-dim": "the top-degree stress space is one-dimensional",
-    "counterexample-support-spans": "the explicit stress spans it (proportionality solved exactly)",
+    "counterexample-support-spans": "the explicit stress spans it (a nonzero stress in a one-dimensional space)",
     "counterexample-support-coefficient": "the mixed group-monomial coefficient is exactly 0",
     "counterexample-support-faces": "every face with m vertices from each simplex group plus one "
                                     "triangle vertex is outside the support",

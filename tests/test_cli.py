@@ -14,7 +14,7 @@ from spherestress.verify import EXPLAIN
 
 ORACLE_SHA256 = "0b237a4f71e20c9c567f16b64205800ff2e3c491a86a4bdc4421709c9fafed55"
 # ``verify --explain --json``: every statement id with its text
-EXPLAIN_SHA256 = "c0ac2dd6135e36b5a8f7805a57578da0a475fd91ae806425245ec9ba34c86d83"
+EXPLAIN_SHA256 = "45ad7b6740de88225cd43ee5afac9c6d7b97310421029d43499911f3ef10d6ab"
 
 
 def run(capsys, *argv):

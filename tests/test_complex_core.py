@@ -507,9 +507,26 @@ class TestFaceEnumeration:
     @given(facet_lists.map(ss.from_facets))
     @example(EMPTY)
     def test_faces_match_per_facet_reference(self, c):
+        ref = reference_faces_by_dim(c)
+        assert ss.f_vector(c) == [len(fs) for fs in ref.values()]
         got = c.faces_by_dim
-        assert got == reference_faces_by_dim(c)
+        assert got == ref
         assert list(got) == list(range(-1, c.dim + 1))
+
+    @pytest.mark.parametrize("name", ["K-3-7", "cross-7"])
+    def test_counting_readers_make_no_frozenset_level(self, name, monkeypatch):
+        # the f-vector, the missing faces, the vertex-link f-vectors and
+        # the homology verdict read the sorted-tuple index only
+        c = ss.from_facets(ss.build(name).complex.facets)
+        made, real = [], cc.SimplicialComplex.faces
+        monkeypatch.setattr(cc.SimplicialComplex, "faces",
+                            lambda self, k: made.append(k) or real(self, k))
+        assert ss.f_vector(c) == ss.f_vector(ss.build(name).complex)
+        assert ss.missing_faces(c) == ss.missing_faces(ss.build(name).complex)
+        assert vertex_link_f_vectors(c)
+        assert ss.is_z2_homology_sphere(c)
+        assert made == []
+        assert sorted(c._face_levels) == list(range(-1, c.dim + 1))
 
     @settings(max_examples=200)
     @given(facet_lists.map(ss.from_facets), hs.lists(hs.integers(-2, 6), max_size=6))

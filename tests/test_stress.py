@@ -476,9 +476,10 @@ class TestCohenMacaulayCertificate:
         assert q_path["kernel_basis"] == 1
         assert [p.terms for p in basis] == [p.terms for p in st.StressSpaces(c, e).basis(3)]
 
-    def test_support_counterexample_takes_no_modp_path(self, q_path, monkeypatch):
-        # the support counterexample asks only for a basis and a span:
-        # one elimination and one rank over Q, no l.s.o.p. test
+    def test_support_counterexample_takes_no_elimination_over_q(self, q_path, monkeypatch):
+        # the support counterexample reads its dimension from the
+        # certificate (one l.s.o.p. test) and ranks the derivatives of
+        # its explicit stress over Q: no elimination over Q
         bounds = []
         real = st._cohen_macaulay_h
 
@@ -487,8 +488,8 @@ class TestCohenMacaulayCertificate:
             return real(*args)
         monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
         assert ss.verify_counterexample_support(1).reproduced
-        assert q_path == {"kernel_basis": 1, "rank_of": 1}
-        assert bounds == []
+        assert q_path == {"kernel_basis": 0, "rank_of": 1}
+        assert len(bounds) == 1
 
     def test_socle_fallback_takes_no_second_kernel_mod_p(self, monkeypatch):
         # the stacked K-2-4 keeps its degree-2 kernel mod p, but the two

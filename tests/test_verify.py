@@ -210,8 +210,8 @@ def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
 def test_oracle_run_numbers_each_complex_once(monkeypatch):
     # the level counterexample's K-2-5, built from its parameters, shares
     # the socle family's socle, and K-2-4's level row shares its own; the
-    # two-sided bound settles every socle mod p, so the only elimination
-    # over Q left is the support counterexample's exported basis
+    # two-sided bound settles every socle mod p, and the support
+    # counterexample reads its dimension mod p: no elimination over Q
     eliminations = []
     real_kernel = linalg.kernel_basis
     numbered = count_socles(monkeypatch, lambda sp: (sp.complex, sp.embedding.seed))
@@ -224,7 +224,7 @@ def test_oracle_run_numbers_each_complex_once(monkeypatch):
     report = ver.run_families(list(ver.FAMILIES), SEED, [("level", 3, 1), ("support", 1)])
     assert report.ok
     assert numbered and max(numbered.values()) == 1
-    assert len(eliminations) == 1
+    assert eliminations == []
 
 
 @pytest.mark.parametrize("u, k, socle", [(3, 1, "[0, 0, 1, 1]"), (4, 1, "[0, 0, 0, 1, 1]"),
