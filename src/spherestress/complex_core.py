@@ -1,15 +1,16 @@
 """Immutable simplicial complexes and their combinatorial operations.
 
 A complex is stored by its inclusion-maximal faces (facets) over integer
-vertex labels; all other faces are derived on demand.  A complex
-memoizes four things: its faces level by level as sorted vertex tuples
-(the one face index; ``_subsets`` builds a level, once, when a reader
-first asks for it), its missing faces, its vertex-link f-vectors and
-its GF(2) homology sphere verdict.  Every operation returns a new
-value, nothing is mutated.  Readers inside the package that count or
-walk faces read the index; frozensets are made only at the public
-boundary (``faces(k)``, ``faces_by_dim``, ``is_face``,
-``missing_faces``), and only when it is called.
+vertex labels; all other faces are derived on demand.  Every operation
+returns a new value, nothing is mutated.
+
+Each vertex has a facet mask, bit i set when facet i contains it, so a
+vertex set is a face exactly when its masks AND to nonzero.  One
+memoized walk over the masks (``_mask_walk``) gives the f-vector, the
+vertex-link f-vectors and the missing faces; it stores no face and
+builds no link.  Readers that need the faces themselves read
+sorted-tuple levels, each built once by ``_level`` when first asked
+for; frozensets are made only at the public boundary.
 
 The homology sphere test first splits the complex into its finest join
 factors.  A set is a face exactly when it contains no missing face, so
@@ -21,15 +22,13 @@ factor is (Milnor 1956, "Construction of universal bundles II"), so the
 verdict is the AND of the factors' verdicts.  Each factor is tested
 without building a link complex: its faces are numbered once, each
 face's link is read from the face's cofaces in that numbering, and
-facets and ridges are settled by counting.  Likewise the vertex-link
-f-vectors of the link sum rules (``enumeration``) are counted from the
-parent's faces.
+facets and ridges are settled by counting.
 
 A trial edge contraction builds no complex either:
 ``contraction_missing_faces`` keeps the parent's missing faces that
-avoid the edge and runs ``_minimal_non_faces`` on the link of the new
-vertex for the rest, smallest first, so the admissibility test of
-``s24`` stops at the first one it cannot accept.
+avoid the edge and finds the rest with the same walk, run on the masks
+of the link of the new vertex, which are the parent's masks restricted
+to the facets meeting the edge.
 
 The distinguished complex ``EMPTY`` is {∅}: the complex whose only face
 is the empty face.  It shows up as the link of a facet and as the
@@ -40,12 +39,10 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 
 from .linalg import gf2_pivots
 
@@ -73,14 +70,13 @@ class SimplicialComplex:
         """The levels ``faces`` has handed out, by dimension."""
         return {}
 
-    @cached_property
-    def _sorted_facets(self) -> list[list[int]]:
-        """Each facet as a sorted list, shared by the level builds."""
-        return [sorted(f) for f in self.facets]
-
     def _level(self, k: int) -> set[tuple[int, ...]]:
-        """The k-faces as sorted tuples, built from the facets."""
-        return _subsets(self._sorted_facets, k + 1)
+        """The k-faces as sorted tuples: the (k+1)-subsets of the sorted
+        facets gathered into one set.  The one level builder."""
+        level: set[tuple[int, ...]] = set()
+        for f in self.facets:
+            level.update(combinations(sorted(f), k + 1))
+        return level
 
     def _tuples(self, k: int) -> set[tuple[int, ...]]:
         """The k-faces as sorted (k+1)-tuples (k = -1 gives {()}).  Level
@@ -107,22 +103,44 @@ class SimplicialComplex:
         return {k: self.faces(k) for k in range(-1, self.dim + 1)}
 
     def is_face(self, tau) -> bool:
-        t = frozenset(tau)
-        return t in self.faces(len(t) - 1)
+        """True when the vertices of tau all lie in one facet."""
+        m, masks = (1 << len(self.facets)) - 1, self._facet_masks
+        for v in tau:
+            m &= masks.get(v, 0)
+        return m != 0
 
     @cached_property
+    def _facet_masks(self) -> dict[int, int]:
+        """Bit i of the mask of v is set when the i-th facet contains v,
+        so a vertex set is a face exactly when its masks AND to nonzero."""
+        masks = dict.fromkeys(self.vertices, 0)
+        for i, f in enumerate(self.facets):
+            for v in f:
+                masks[v] |= 1 << i
+        return masks
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+        """(f-vector, f(lk v) by vertex v, missing faces by (dimension, labels))
+        from one ``_mask_walk``; f_{k-1}(lk v) counts the k-faces through v."""
+        through = dict.fromkeys(self.vertices, 0)
+        found, total = _mask_walk(self._facet_masks.items(), (1 << len(self.facets)) - 1,
+                                  through)
+        found.sort(key=lambda t: (len(t), t))
+        n, field = self.dim + 2, (1 << _WIDTH) - 1  # unpack the counts by size
+        links = {v: tuple((x >> (_WIDTH * s)) & field for s in range(1, n))
+                 for v, x in through.items()}
+        return tuple((total >> (_WIDTH * s)) & field for s in range(n)), links, tuple(found)
+
+    @property
     def _missing_faces(self) -> tuple[tuple[int, ...], ...]:
-        """All missing faces as sorted tuples, sorted by (dimension,
-        vertex labels): the minimal non-faces of the index."""
-        found = _minimal_non_faces(lambda n: self._tuples(n - 1), self.vertices, 2)
-        return tuple(sorted(found, key=lambda t: (len(t), t)))
+        """The missing faces as sorted tuples, by (dimension, labels)."""
+        return self._walk[2]
 
     @cached_property
     def _vertex_link_f(self) -> dict[int, tuple[int, ...]]:
-        """f(lk v) for every vertex v, with no link built: f_{k-1}(lk v)
-        is the number of k-faces that contain v."""
-        counts = [Counter(chain.from_iterable(self._tuples(k))) for k in range(self.dim + 1)]
-        return {v: tuple(n[v] for n in counts) for v in self.vertices}
+        """f(lk v) for every vertex v, counted with no link built."""
+        return self._walk[1]
 
     @cached_property
     def _z2_sphere(self) -> bool:
@@ -189,36 +207,51 @@ def _components(items, pairs) -> list[list]:
     return list(comps.values())
 
 
-def _subsets(sorted_lists, size: int) -> set[tuple[int, ...]]:
-    """The ``size``-element subsets of the sorted vertex lists, as sorted
-    tuples gathered into one set: a face level of the complex whose
-    facets are the lists.  This is the one level builder."""
-    level: set[tuple[int, ...]] = set()
-    for f in sorted_lists:
-        level.update(combinations(f, size))
-    return level
+_WIDTH = 64  # bits per face size in a packed count; the walk counts one face at a time
 
 
-def _minimal_non_faces(level, verts, smallest: int):
-    """The minimal non-faces with at least ``smallest`` >= 2 vertices,
-    as sorted tuples, smallest first, of the complex on the sorted
-    labels ``verts`` whose n-vertex faces are the sorted tuples
-    ``level(n)``, asked for once per n, in increasing order.
+def _mask_walk(items, full: int, through: dict | None = None):
+    """The minimal non-faces of two or more vertices, as sorted tuples,
+    and the face counts by size, ``_WIDTH`` bits a size in one integer,
+    of the complex with the (label, facet mask) pairs ``items`` in label
+    order and the mask ``full`` of all facets.  A dict ``through`` gains
+    for each vertex the packed count of the faces through it.
 
-    Every proper subset of a minimal non-face t is a face, t minus its
-    largest vertex among them, so each candidate is made once: a face f
-    plus a vertex above f[-1], kept when it is no face and t minus any
-    one vertex of f is a face."""
-    n = smallest - 1
-    faces = level(n)
-    while faces:
-        above = level(n + 1)
-        for f in faces:
-            for v in verts[bisect_right(verts, f[-1]):]:
-                t = f + (v,)
-                if t not in above and all(t[:i] + t[i + 1:] in faces for i in range(n)):
-                    yield t
-        n, faces = n + 1, above
+    Depth first in lexicographic order, each face t is visited once with
+    the AND of its masks.  Since t[:-1] + (v,) is a face when t + (v,)
+    is, t is extended only by its parent's children after it, and a
+    non-face t + (v,) is minimal when t minus any one vertex, plus v, is
+    a face: |t| ANDs against the prefix ANDs of t.  A face's count, with
+    the counts below it, goes to its last vertex in ``through``.
+    """
+    found: list[tuple[int, ...]] = []
+
+    def visit(t, ands, masks, ext, one):
+        m, kids = ands[-1], []
+        for x in ext:
+            if m & x[1]:
+                kids.append(x)
+                continue
+            rest = x[1] & masks[-1]
+            for i in range(len(t) - 2, -1, -1):
+                if not ands[i] & rest:
+                    break
+                rest &= masks[i]
+            else:
+                found.append(t + (x[0],))
+        count, below = one * len(kids), one << _WIDTH
+        for j in range(len(kids) - 1):
+            v, mv = kids[j]
+            n = visit(t + (v,), ands + (m & mv,), masks + (mv,), kids[j + 1:], below)
+            count += n
+            if through is not None:
+                through[v] += n
+        if through is not None:
+            for v, _ in kids:
+                through[v] += one
+        return count
+
+    return found, 1 + visit((), (full,), (), list(items), 1 << _WIDTH)
 
 
 def _make(facet_sets) -> SimplicialComplex:
@@ -389,7 +422,7 @@ class InadmissibleContraction(ValueError):
 def _contractible_edge(c: SimplicialComplex, u: int, v: int) -> frozenset[int]:
     """The edge uv, checked to lie in no missing face of ``c``."""
     e = frozenset({u, v})
-    if tuple(sorted(e)) not in c._tuples(len(e) - 1):
+    if not c.is_face(e):
         raise ValueError(f"{sorted(e)} is not an edge")
     for s in c._missing_faces:
         if u in s and v in s:
@@ -431,22 +464,21 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[froz
 def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):
     """The sets T, as sorted tuples with |T| >= ``smallest``, for which
     T ∪ {w} is a missing face after contracting the edge e of ``c`` to
-    a new vertex w; smallest |T| first, so a caller may stop early.
+    a new vertex w, in no particular order; a caller may stop early.
 
-    lk(w) is the complex whose facets are F - e over the facets F
-    meeting e, and T ∪ {w} is missing exactly when T is a face of ``c``
-    avoiding e that is a minimal non-face of lk(w).  A single vertex T
-    qualifies when it is adjacent to neither end of e.  A larger T is a
-    minimal non-face of lk(w) from ``_minimal_non_faces`` that is a
-    face of ``c``, read from the index of ``c``.
+    T ∪ {w} is missing exactly when T is a face of ``c`` avoiding e and
+    a minimal non-face of lk(w), whose facets are F - e over the facets
+    F meeting e.  A single vertex T lies in none of those F.  Larger T
+    come from ``_mask_walk`` on the masks of ``c`` ANDed with the mask
+    ``star`` of those F, and are kept when their masks in ``c`` meet.
     """
-    star = [sorted(f - e) for f in c.facets if f & e]
-    near = set(chain.from_iterable(star))  # the vertices of lk(w)
+    masks = c._facet_masks
+    star = masks[min(e)] | masks[max(e)]
+    near = [(x, m & star) for x, m in masks.items() if x not in e]
     if smallest <= 1:
-        yield from ((x,) for x in c.vertices if x not in e and x not in near)
-    for t in _minimal_non_faces(lambda n: _subsets(star, n), sorted(near), max(smallest, 2)):
-        if t in c._tuples(len(t) - 1):
-            yield t
+        yield from ((x,) for x, m in near if not m)
+    found, _ = _mask_walk([(x, m) for x, m in near if m], star)
+    yield from (t for t in found if len(t) >= smallest and c.is_face(t))
 
 
 # ---------------------------------------------------------------------------
@@ -577,32 +609,21 @@ def are_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 
     def profile(c, v):
         deg = sum(1 for e in c._tuples(1) if v in e)
-        in_facets = sorted(len(f) for f in c.facets if v in f)
-        return (deg, tuple(in_facets))
+        return deg, tuple(sorted(len(f) for f in c.facets if v in f))
 
     prof_a = {v: profile(a, v) for v in a.vertices}
     prof_b = {v: profile(b, v) for v in b.vertices}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return False
-
-    adj_a = {v: {u for e in a._tuples(1) if v in e for u in e if u != v} for v in a.vertices}
-    adj_b = {v: {u for e in b._tuples(1) if v in e for u in e if u != v} for v in b.vertices}
     order = sorted(a.vertices, key=lambda v: (prof_a[v], v))
 
     def extend(i, mapping, used):
         if i == len(order):
-            mapped = frozenset(frozenset(mapping[v] for v in f) for f in a.facets)
-            return mapped == b.facets
+            return frozenset(frozenset(mapping[v] for v in f) for f in a.facets) == b.facets
         v = order[i]
         for w in b.vertices:
-            if w in used or prof_b[w] != prof_a[v]:
-                continue
-            ok = True
-            for v2, w2 in mapping.items():
-                if (v2 in adj_a[v]) != (w2 in adj_b[w]):
-                    ok = False
-                    break
-            if not ok:
+            if w in used or prof_b[w] != prof_a[v] or any(
+                    a.is_face((v, x)) != b.is_face((w, y)) for x, y in mapping.items()):
                 continue
             mapping[v] = w
             used.add(w)

@@ -22,16 +22,19 @@ from .complex_core import SimplicialComplex, max_missing_dim
 
 
 def f_vector(c: SimplicialComplex) -> list[int]:
-    """Face counts (f_{-1}, f_0, ..., f_{d-1}) by direct enumeration."""
-    return [len(c._tuples(k)) for k in range(-1, c.dim + 1)]
+    """Face counts (f_{-1}, f_0, ..., f_{d-1}), counted by the walk."""
+    return list(c._walk[0])
 
 
 def h_from_f(f: list[int], d: int) -> list[int]:
-    """Binomial transform of the f-vector."""
+    """Binomial transform of the f-vector, by Horner's rule in t - 1."""
     if len(f) != d + 1:
         raise ValueError(f"f-vector must have length d+1 = {d + 1}, got {len(f)}")
-    return [sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
-            for k in range(d + 1)]
+    h: list[int] = []
+    for fi in f:
+        h = [a - b for a, b in zip(h + [0], [0] + h)]
+        h[-1] += fi
+    return h
 
 
 def f_from_h(h: list[int], d: int) -> list[int]:
@@ -136,7 +139,10 @@ def mcmullen_residual(c: SimplicialComplex, k: int) -> int:
     d = c.dim + 1
     if not 0 <= k <= (d - 1) // 2:
         raise ValueError(f"k must lie in 0..{(d - 1) // 2}")
-    total = sum(g_from_h(h_from_f(f, d - 1))[k] for f in links.values())
+    # g_k = h_k - h_{k-1} (g_0 = h_0) and h is linear in f, so the sum
+    # of the links' g_k is read from the h-vector of their summed f-vectors
+    h = h_from_f([sum(n) for n in zip(*links.values())], d - 1)
+    total = h[k] - (h[k - 1] if k else 0)
     g = g_vector(c)
     return total - (k + 1) * g[k + 1] - (d + 1 - k) * g[k]
 
@@ -152,7 +158,11 @@ def gamma_mcmullen_residual(c: SimplicialComplex, i: int) -> int:
     d = c.dim + 1
     if not 0 <= i <= (d - 1) // 2:
         raise ValueError(f"i must lie in 0..{(d - 1) // 2}")
-    total = sum(gamma_from_h(h_from_f(f, d - 1), d - 1)[i] for f in links.values())
+    hs = [h_from_f(f, d - 1) for f in links.values()]
+    for h in hs:  # gamma_from_h decomposes exactly the palindromic h, linearly
+        if h != h[::-1]:
+            gamma_from_h(h, d - 1)  # raises
+    total = gamma_from_h([sum(n) for n in zip(*hs)], d - 1)[i]
     gam = gamma_vector(c)
     gam_next = gam[i + 1] if i + 1 < len(gam) else 0
     return total - (i + 1) * gam_next - (2 * d - 4 * i) * gam[i]

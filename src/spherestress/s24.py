@@ -52,8 +52,8 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     missing faces that the contraction keeps from ``c`` have dimension
     at most 2 (``c`` is checked to be in the class), and each new one
     is T ∪ {w} for the new vertex w, of dimension |T|.  So an edge is
-    refused exactly when a new missing face has |T| >= 3, and the
-    search for one (``cc._new_missing_faces``) stops at the first."""
+    refused exactly when a new missing face has |T| >= 3, and only the
+    first such T from ``cc._new_missing_faces`` is asked for."""
     _require_s24(c)
     out = []
     for u, v in sorted(c._tuples(1)):
@@ -89,11 +89,8 @@ def find_induced_gamma(c: SimplicialComplex) -> list[tuple[frozenset[int], tuple
     for t1, t2 in combinations(triples, 2):
         if t1 & t2:
             continue
-        cross_ok = all(
-            c.is_face(frozenset(e1) | frozenset(e2))
-            for e1 in combinations(sorted(t1), 2)
-            for e2 in combinations(sorted(t2), 2))
-        if not cross_ok:
+        if not all(c.is_face(e1 + e2) for e1 in combinations(t1, 2)
+                   for e2 in combinations(t2, 2)):
             continue
         w = t1 | t2
         rest = [v for v in c.vertices if v not in w]

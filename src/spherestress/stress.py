@@ -192,10 +192,14 @@ class StressPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @functools.cached_property
+    def _supports(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, self.terms))  # the distinct term supports
+
     def participates(self, tau) -> bool:
         """True when some nonzero term's support contains the face tau."""
         t = frozenset(tau)
-        return any(t <= frozenset(mu) for mu in self.terms)
+        return any(t <= s for s in self._supports)
 
     def support_vertices(self) -> frozenset[int]:
         out: set[int] = set()
@@ -256,10 +260,8 @@ def is_stress(c: SimplicialComplex, e: Embedding, omega: StressPolynomial) -> bo
     This is independent of the kernel solver and is used to cross-check
     computed bases.
     """
-    for mu in omega.terms:
-        if not c.is_face(frozenset(mu)):
-            return False
-    return all(not _apply_form(omega.terms, f) for f in theta_forms(e))
+    return (all(c.is_face(mu) for mu in omega.terms)
+            and all(not _apply_form(omega.terms, f) for f in theta_forms(e)))
 
 
 def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None) -> list[dict]:

@@ -338,6 +338,17 @@ class TestSeqAndAlpha:
         assert {k for _, k in level_builds} <= {-1, 0, 1}
 
 
+    def test_info_builds_no_face_level(self, capsys, tmp_path, level_builds):
+        # f, h, g, gamma and the missing faces come from the facet-mask walk
+        path = tmp_path / "K-4-11.json"
+        path.write_text(ss.complex_to_json(ss.catalog.build_K(4, 12).complex))
+        level_builds.clear()
+        code, out, _ = run(capsys, "info", str(path), "--json")
+        doc = json.loads(out)
+        assert code == 0 and sum(doc["f"]) == 31 ** 3 and doc["class"] == "S(4,11)"
+        assert level_builds == []
+
+
 class TestS24Command:
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "s24", "verify", "K-2-4")

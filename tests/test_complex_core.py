@@ -514,19 +514,42 @@ class TestFaceEnumeration:
         assert list(got) == list(range(-1, c.dim + 1))
 
     @pytest.mark.parametrize("name", ["K-3-7", "cross-7"])
-    def test_counting_readers_make_no_frozenset_level(self, name, monkeypatch):
-        # the f-vector, the missing faces, the vertex-link f-vectors and
-        # the homology verdict read the sorted-tuple index only
+    def test_counting_readers_make_no_frozenset_level(self, name, monkeypatch,
+                                                      level_builds, computations):
+        # the f-vector, the missing faces and the vertex-link f-vectors come
+        # from one walk over the facet masks and build no face level; the
+        # homology verdict then builds each level of each join factor once,
+        # as tuples, and no frozenset
+        walked = computations("_walk")
         c = ss.from_facets(ss.build(name).complex.facets)
         made, real = [], cc.SimplicialComplex.faces
         monkeypatch.setattr(cc.SimplicialComplex, "faces",
                             lambda self, k: made.append(k) or real(self, k))
+        level_builds.clear()
         assert ss.f_vector(c) == ss.f_vector(ss.build(name).complex)
         assert ss.missing_faces(c) == ss.missing_faces(ss.build(name).complex)
         assert vertex_link_f_vectors(c)
+        assert [x for x, _ in level_builds if x is c] == []
+        assert [x for x in walked if x is c] == [c]
         assert ss.is_z2_homology_sphere(c)
         assert made == []
-        assert sorted(c._face_levels) == list(range(-1, c.dim + 1))
+        builds = [(id(x), k) for x, k in level_builds]  # the join factors' levels
+        assert builds and len(builds) == len(set(builds))
+        assert [x for x in walked if x is c] == [c]
+
+    @settings(max_examples=200)
+    @given(facet_lists.map(ss.from_facets))
+    @example(EMPTY)
+    @example(ss.from_facets([[1, 2, 3], [3, 4], [5]]))
+    def test_walk_matches_references(self, c):
+        # non-pure input included: a vertex link then has fewer levels
+        # than dim + 1, and the walk's count pads it with zeros
+        ref = reference_faces_by_dim(c)
+        assert ss.f_vector(c) == [len(fs) for fs in ref.values()]
+        for v in c.vertices:
+            lk = ss.f_vector(ss.link(c, {v}))
+            assert list(c._vertex_link_f[v]) == lk + [0] * (c.dim + 1 - len(lk))
+        assert [list(m) for m in c._missing_faces] == brute_missing_faces(c)
 
     @settings(max_examples=200)
     @given(facet_lists.map(ss.from_facets), hs.lists(hs.integers(-2, 6), max_size=6))
@@ -543,6 +566,30 @@ class TestFaceEnumeration:
     def test_vertex_link_f_vectors_match_built_links(self, c):
         assert vertex_link_f_vectors(c) == {
             v: ss.f_vector(ss.link(c, {v})) for v in c.vertices}
+
+    @settings(max_examples=150)
+    @given(pure_complexes())
+    def test_link_sums_match_per_link_definition(self, c):
+        # the sums over summed link vectors equal the per-link definition,
+        # and gamma raises exactly when some link has no gamma-vector
+        d = c.dim + 1
+        links = [ss.link(c, {v}) for v in c.vertices]
+        for k in range((d - 1) // 2 + 1):
+            g = ss.g_vector(c)
+            want = sum(ss.g_vector(lk)[k] for lk in links) - (k + 1) * g[k + 1] \
+                - (d + 1 - k) * g[k]
+            assert ss.mcmullen_residual(c, k) == want
+            try:
+                gam = ss.gamma_vector(c)
+                want = sum(ss.gamma_vector(lk)[k] for lk in links) \
+                    - (k + 1) * (gam[k + 1] if k + 1 < len(gam) else 0) - (2 * d - 4 * k) * gam[k]
+            except ValueError:
+                want = None
+            try:
+                got = ss.gamma_mcmullen_residual(c, k)
+            except ValueError:
+                got = None
+            assert got == want
 
     @settings(max_examples=150)
     @given(hs.lists(hs.frozensets(hs.integers(1, 6), max_size=5), max_size=12))
