@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, islice
+from math import comb
 
 from . import complex_core as cc
 from . import linalg
@@ -156,62 +156,43 @@ def build_counterexample_polytope(m: int) -> NamedSphere:
     """Boundary of the free sum of two 2m-simplices and a triangle.
 
     The 2u+3 vertices (u = 2m+1) carry explicit integer coordinates in
-    dimension 4m+2; the boundary complex equals K(2m, 4m+1) and its only
-    missing faces are the three vertex groups, which is verified here.
+    dimension 4m+2: in each vertex group, the first vertices go on the
+    next unused unit vectors and the last at minus their sum.  The
+    boundary complex equals K(2m, 4m+1) and its only missing faces are
+    the three vertex groups, which is verified here.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     u = 2 * m + 1
-    amb = 2 * u
-    group1, group2, group3 = _polytope_groups(u)
-
-    def unit(j: int) -> list[Fraction]:
-        e = [Fraction(0)] * amb
-        e[j - 1] = Fraction(1)
-        return e
-
-    def neg_sum(axes) -> tuple[Fraction, ...]:
-        e = [Fraction(0)] * amb
-        for j in axes:
-            e[j - 1] = Fraction(-1)
-        return tuple(e)
-
+    groups = _polytope_groups(u)
+    axes = iter(range(2 * u))
     coords: dict[int, tuple[Fraction, ...]] = {}
-    for idx, v in enumerate(group1[:-1]):
-        coords[v] = tuple(unit(idx + 1))
-    coords[group1[-1]] = neg_sum(range(1, u))
-    for idx, v in enumerate(group2[:-1]):
-        coords[v] = tuple(unit(u + idx))
-    coords[group2[-1]] = neg_sum(range(u, 2 * u - 1))
-    coords[group3[0]] = tuple(unit(2 * u - 1))
-    coords[group3[1]] = tuple(unit(2 * u))
-    coords[group3[2]] = neg_sum((2 * u - 1, 2 * u))
+    for group in groups:
+        units = [tuple(Fraction(int(j == i)) for j in range(2 * u))
+                 for i in islice(axes, len(group) - 1)]
+        coords.update(zip(group, units))
+        coords[group[-1]] = tuple(-sum(xs) for xs in zip(*units))
 
-    complex_ = cc.join(cc.boundary_simplex(u - 1), cc.boundary_simplex(u - 1),
-                       cc.boundary_simplex(2))
-    found = set(missing_faces(complex_))
-    expected = {frozenset(group1), frozenset(group2), frozenset(group3)}
-    if found != expected:
+    complex_ = cc.join(*(cc.boundary_simplex(len(group) - 1) for group in groups))
+    if set(missing_faces(complex_)) != set(map(frozenset, groups)):
         raise ValueError("missing faces are not exactly the three vertex groups")
     emb = st.natural_embedding(complex_, coords)
     return NamedSphere(f"polytope-{m}", complex_, natural_coords=emb)
 
 
-def _group_power(group: list[int], a: int) -> dict[tuple[int, ...], Fraction]:
-    """Multinomial expansion of (sum of the group variables)^a."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    if a == 0:
-        return {(): Fraction(1)}
-    from itertools import combinations_with_replacement
-    for mono in combinations_with_replacement(group, a):
-        counts: dict[int, int] = {}
-        for v in mono:
-            counts[v] = counts.get(v, 0) + 1
-        coef = factorial(a)
-        for e in counts.values():
-            coef //= factorial(e)
-        out[tuple(mono)] = Fraction(coef)
-    return out
+def _expand(forms) -> dict[tuple[int, ...], Fraction]:
+    """The product of linear forms, each a dict variable -> coefficient,
+    as sorted-tuple monomials -> nonzero ``Fraction`` coefficient.  Int
+    coefficients multiply as ints until the first ``Fraction`` factor."""
+    out = {(): 1}
+    for form in forms:
+        product: dict = {}
+        for mono, x in out.items():
+            for v, y in form.items():
+                key = tuple(sorted((*mono, v)))
+                product[key] = product.get(key, 0) + x * y
+        out = {mono: c for mono, c in product.items() if c}
+    return {mono: Fraction(c) for mono, c in out.items()}
 
 
 def support_stress_polynomial(m: int):
@@ -224,36 +205,13 @@ def support_stress_polynomial(m: int):
     """
     u = 2 * m + 1
     q = Fraction(u, 3)
-
-    def mul(p, qp):
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a1, b1, c1), x in p.items():
-            for (a2, b2, c2), y in qp.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                nv = out.get(key, Fraction(0)) + x * y
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return out
-
-    f_y = {(1, 0, 0): Fraction(1), (0, 0, 1): -q}
-    f_y = mul(f_y, {(0, 1, 0): Fraction(1), (0, 0, 1): -q})
-    for _ in range(u - 2):
-        f_y = mul(f_y, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1)})
-
-    group1, group2, group3 = _polytope_groups(u)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for (a, b, c), coef in f_y.items():
-        for m1, c1 in _group_power(group1, a).items():
-            for m2, c2 in _group_power(group2, b).items():
-                for m3, c3 in _group_power(group3, c).items():
-                    mono = tuple(sorted(m1 + m2 + m3))
-                    nv = terms.get(mono, Fraction(0)) + coef * c1 * c2 * c3
-                    if nv:
-                        terms[mono] = nv
-                    else:
-                        terms.pop(mono, None)
+    # the integer factors first, so that most products are of ints
+    forms = [*[{1: 1, 2: -1}] * (u - 2), {1: 1, 3: -q}, {2: 1, 3: -q}]
+    f_y = {(mono.count(1), mono.count(2), mono.count(3)): c
+           for mono, c in _expand(forms).items()}
+    groups = _polytope_groups(u)
+    terms = _expand([{v: c for i, c in form.items() for v in groups[i - 1]}
+                     for form in forms])
     return StressPolynomial(u, terms), f_y
 
 
@@ -351,9 +309,9 @@ def _cycle(n: int) -> NamedSphere:
 
 
 def _cross(d: int) -> NamedSphere:
-    return NamedSphere(
-        f"cross-{d}", cross_polytope(d),
-        natural_coords=st.natural_embedding(cross_polytope(d), cross_polytope_coords(d)))
+    c = cross_polytope(d)
+    return NamedSphere(f"cross-{d}", c,
+                       natural_coords=st.natural_embedding(c, cross_polytope_coords(d)))
 
 
 def _cyclejoin(n: int, m: int) -> NamedSphere:

@@ -220,9 +220,8 @@ def cmd_seq(args) -> int:
 
 def cmd_alpha(args) -> int:
     sphere = _resolve_target(args.target)
-    c = sphere.complex
-    g = graph_of(c)
-    bound = turan_bound(len(c.vertices), len(c.faces(1)))  # reads no level above the edges
+    g = graph_of(sphere.complex)
+    bound = turan_bound(len(g.vertices), len(g.edges))
     try:
         alpha, witness = independence_number(g, cap=args.cap_vertices)
     except VertexCapExceeded as exc:

@@ -65,11 +65,6 @@ class SimplicialComplex:
         """The index: the sorted-tuple levels built so far, by dimension."""
         return {}
 
-    @cached_property
-    def _face_sets(self) -> dict[int, frozenset[frozenset[int]]]:
-        """The levels ``faces`` has handed out, by dimension."""
-        return {}
-
     def _level(self, k: int) -> set[tuple[int, ...]]:
         """The k-faces as sorted tuples: the (k+1)-subsets of the sorted
         facets gathered into one set.  The one level builder."""
@@ -89,17 +84,14 @@ class SimplicialComplex:
         return level
 
     def faces(self, k: int) -> frozenset[frozenset[int]]:
-        """The k-dimensional faces (k = -1 gives {∅}), made from the
-        index the first time they are asked for and memoized."""
-        level = self._face_sets.get(k)
-        if level is None:
-            level = self._face_sets[k] = frozenset(map(frozenset, self._tuples(k)))
-        return level
+        """The k-dimensional faces (k = -1 gives {∅}), made on each call
+        from the memoized tuple level."""
+        return frozenset(map(frozenset, self._tuples(k)))
 
     @cached_property
     def faces_by_dim(self) -> dict[int, frozenset[frozenset[int]]]:
         """All faces grouped by dimension, including the empty face at
-        -1, read through ``faces``, so no level is built twice."""
+        -1, read through ``faces``, so no tuple level is built twice."""
         return {k: self.faces(k) for k in range(-1, self.dim + 1)}
 
     def is_face(self, tau) -> bool:
@@ -464,7 +456,9 @@ def contraction_missing_faces(c: SimplicialComplex, u: int, v: int) -> list[froz
 def _new_missing_faces(c: SimplicialComplex, e: frozenset[int], smallest: int):
     """The sets T, as sorted tuples with |T| >= ``smallest``, for which
     T ∪ {w} is a missing face after contracting the edge e of ``c`` to
-    a new vertex w, in no particular order; a caller may stop early.
+    a new vertex w, in no particular order.  The walk of lk(w) runs to
+    its end before the first T is yielded; a caller that stops early
+    skips only the parent-face tests of the rest.
 
     T ∪ {w} is missing exactly when T is a face of ``c`` avoiding e and
     a minimal non-face of lk(w), whose facets are F - e over the facets

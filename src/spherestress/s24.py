@@ -52,8 +52,10 @@ def admissible_contractions(c: SimplicialComplex) -> list[frozenset[int]]:
     missing faces that the contraction keeps from ``c`` have dimension
     at most 2 (``c`` is checked to be in the class), and each new one
     is T ∪ {w} for the new vertex w, of dimension |T|.  So an edge is
-    refused exactly when a new missing face has |T| >= 3, and only the
-    first such T from ``cc._new_missing_faces`` is asked for."""
+    refused exactly when a new missing face has |T| >= 3.  Only the
+    first such T from ``cc._new_missing_faces`` is asked for, but the
+    walk of lk(w) that finds the candidates runs to its end for every
+    edge tested."""
     _require_s24(c)
     out = []
     for u, v in sorted(c._tuples(1)):

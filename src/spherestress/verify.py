@@ -324,10 +324,11 @@ FAMILIES: dict[str, list[str]] = {
 # Counterexamples
 # ---------------------------------------------------------------------------
 
-# Each counterexample takes the run's seed, its ``build`` and ``spaces``
-# (see ``run_families``), then its own parameters.
+# Each counterexample takes the run's ``spaces`` (see ``run_families``),
+# then its own parameters.  The support counterexample embeds its
+# polytope by its natural coordinates, so it reads no ``spaces``.
 
-def rows_counterexample_level(seed: int, build, spaces, u: int, k: int) -> list[CheckRow]:
+def rows_counterexample_level(spaces, u: int, k: int) -> list[CheckRow]:
     rep = cat.verify_counterexample_level(u, k)
     rows = [
         CheckRow("counterexample-level-formula", rep.name, _fmt(list(rep.g)),
@@ -344,7 +345,7 @@ def rows_counterexample_level(seed: int, build, spaces, u: int, k: int) -> list[
     return rows
 
 
-def rows_counterexample_support(seed: int, build, spaces, m: int) -> list[CheckRow]:
+def rows_counterexample_support(spaces, m: int) -> list[CheckRow]:
     rep = cat.verify_counterexample_support(m)
     name = rep.name
     return [
@@ -412,20 +413,19 @@ def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
     """Check each statement of ``families`` on its roster, then each
     counterexample, in one report ordered by statement id and target.
 
-    The run's ``build`` is ``catalog.build`` in one ``functools.cache``,
-    so every statement and counterexample reads the same sphere objects
-    and shares what each complex memoizes; its ``spaces`` holds one
-    ``stress.StressSpaces`` per complex, by value, under the seed's
-    generic embedding; and each sphere has one ``Facts``.  Every
-    counterexample's parameters are checked before anything runs."""
+    Each catalog sphere is built once, into its one ``Facts``, so every
+    statement reads the same sphere objects and shares what each complex
+    memoizes.  The run's ``spaces`` holds one ``stress.StressSpaces`` per
+    complex, by value, under the seed's generic embedding, for the
+    statements and the counterexamples alike.  Every counterexample's
+    parameters are checked before anything runs."""
     for kind, *params in counterexamples:
         _PARAMETER_CHECKS[kind](*params)
-    build = functools.cache(cat.build)
     spaces = functools.cache(lambda c: st.StressSpaces(c, st.generic_embedding(c, seed)))
-    facts = functools.cache(lambda name: Facts(build(name), spaces))
+    facts = functools.cache(lambda name: Facts(cat.build(name), spaces))
     runs = [(fam, functools.partial(_family_rows, fam, facts)) for fam in families] + [
         (f"counterexample-{kind}",
-         functools.partial(COUNTEREXAMPLES[kind], seed, build, spaces, *params))
+         functools.partial(COUNTEREXAMPLES[kind], spaces, *params))
         for kind, *params in counterexamples]
     report = VerificationReport(title="+".join(name for name, _ in runs))
     for name, rows in runs:

@@ -1,6 +1,7 @@
 """Tests for the named-sphere catalog and the two counterexample verifiers."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,23 @@ class TestCounterexamplePolytope:
         with pytest.raises(ValueError):
             ss.build_counterexample_polytope(0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_coordinates_follow_one_rule(self, m):
+        # in each group the first |g| - 1 vertices sit on unit vectors of
+        # their own axes, together all 2u axes, and the last at minus
+        # their sum
+        u = 2 * m + 1
+        emb = ss.build_counterexample_polytope(m).natural_coords
+        assert emb.d == 2 * u
+        assert all(type(x) is Fraction for cs in emb.coords.values() for x in cs)
+        axes = []
+        for group in cat._polytope_groups(u):
+            assert not any(sum(xs) for xs in zip(*(emb.coords[v] for v in group)))
+            for v in group[:-1]:
+                assert sorted(emb.coords[v]) == [0] * (2 * u - 1) + [1]
+                axes.append(emb.coords[v].index(1))
+        assert sorted(axes) == list(range(2 * u))
+
 
 class TestLevelCounterexample:
     def test_u3_k1(self):
@@ -159,6 +177,31 @@ class TestSupportCounterexample:
         d1 = ss.derivative(poly, (1,))
         d2 = ss.derivative(poly, (2,))
         assert d1.terms == d2.terms
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stress_is_its_product_formula(self, m):
+        # at seeded rational points, the expansion in the vertex variables
+        # and the one in the group sums y_i both equal
+        # (y1 - q*y3)(y2 - q*y3)(y1 - y2)^(u-2)
+        u, rng = 2 * m + 1, random.Random(m)
+        q = Fraction(u, 3)
+        poly, f_y = ss.support_stress_polynomial(m)
+        assert poly.degree == u and poly.terms and f_y
+        assert all(mono == tuple(sorted(mono)) and len(mono) == u for mono in poly.terms)
+        assert all(a + b + c == u for a, b, c in f_y)
+        assert all(type(x) is Fraction and x for x in [*poly.terms.values(), *f_y.values()])
+        for _ in range(4):
+            point = {v: Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+                     for v in range(1, 2 * u + 4)}
+            y1, y2, y3 = (sum(point[v] for v in g) for g in cat._polytope_groups(u))
+            want = (y1 - q * y3) * (y2 - q * y3) * (y1 - y2) ** (u - 2)
+            got = Fraction(0)
+            for mono, x in poly.terms.items():
+                for v in mono:
+                    x *= point[v]
+                got += x
+            assert got == want
+            assert sum(x * y1 ** a * y2 ** b * y3 ** c for (a, b, c), x in f_y.items()) == want
 
     def test_group_derivative_relation(self):
         # the three group derivatives sum to zero, forcing the span gap

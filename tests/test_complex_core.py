@@ -559,7 +559,20 @@ class TestFaceEnumeration:
         for k in [*first, *range(-2, c.dim + 2)]:  # any levels first, then all in order
             assert c.faces(k) == ref.get(k, frozenset())
         assert c.faces_by_dim == ref
-        assert all(c.faces_by_dim[k] is c.faces(k) for k in ref)
+        assert all(c.faces_by_dim[k] == c.faces(k) for k in ref)
+
+    @pytest.mark.parametrize("name", ["octahedron", "K-2-4"])
+    def test_repeated_faces_build_each_tuple_level_once(self, name, level_builds):
+        # faces(k) makes fresh frozensets on each call from the one
+        # memoized tuple level
+        c = ss.from_facets(ss.build(name).complex.facets)
+        ref = reference_faces_by_dim(c)
+        level_builds.clear()
+        for _ in range(3):
+            for k in ref:
+                assert c.faces(k) == ref[k]
+        assert c.faces_by_dim == ref
+        assert sorted(k for x, k in level_builds if x is c) == list(ref)
 
     @settings(max_examples=150)
     @given(pure_complexes())

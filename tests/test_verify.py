@@ -227,6 +227,20 @@ def test_oracle_run_numbers_each_complex_once(monkeypatch):
     assert eliminations == []
 
 
+def test_degenerate_second_seed_fails_seed_stable_rows(made, degenerate_second_seed, capsys):
+    # the second seed puts every vertex in a hyperplane, where the stress
+    # dimensions jump: the seed-stable rows fail, and the CLI reports a
+    # failed check (exit 1), not a degenerate embedding (exit 3)
+    report = ver.run_families(["stress"], SEED)
+    failed = {r.target: (r.lhs, r.rhs) for r in report.checks if not r.holds}
+    assert failed == {"K-2-4[k=1]": ("2", "3"), "K-2-4[k=2]": ("2", "5"),
+                      "octahedron[k=1]": ("2", "3")}
+    assert {r.check_id for r in report.checks if not r.holds} == {"stress-dim-seed-stable"}
+    assert cli.main(["verify", "--family", "stress"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "FAILURES ABOVE" in out
+
+
 @pytest.mark.parametrize("u, k, socle", [(3, 1, "[0, 0, 1, 1]"), (4, 1, "[0, 0, 0, 1, 1]"),
                                          (5, 1, "[0, 0, 0, 0, 1, 1]"), (6, 2, None)])
 def test_level_counterexample_alone_keeps_its_socle_row(capsys, u, k, socle):
