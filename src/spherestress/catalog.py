@@ -37,13 +37,18 @@ def cross_polytope(d: int) -> SimplicialComplex:
     return cc.join(*[cc.boundary_simplex(1) for _ in range(d)])
 
 
-def cross_polytope_coords(d: int) -> dict[int, tuple[Fraction, ...]]:
-    coords = {}
-    for i in range(1, d + 1):
-        e = [Fraction(0)] * d
-        e[i - 1] = Fraction(1)
-        coords[2 * i - 1] = tuple(e)
-        coords[2 * i] = tuple(-x for x in e)
+def _free_sum_coords(groups) -> dict[int, tuple[Fraction, ...]]:
+    """Coordinates of the free sum of simplices, one per vertex group: a
+    group's first vertices go on the next unused unit vectors and its
+    last at minus their sum."""
+    dim = sum(len(group) - 1 for group in groups)
+    axes = iter(range(dim))
+    coords: dict[int, tuple[Fraction, ...]] = {}
+    for group in groups:
+        units = [tuple(Fraction(int(j == i)) for j in range(dim))
+                 for i in islice(axes, len(group) - 1)]
+        coords.update(zip(group, units))
+        coords[group[-1]] = tuple(-sum(xs) for xs in zip(*units))
     return coords
 
 
@@ -165,18 +170,10 @@ def build_counterexample_polytope(m: int) -> NamedSphere:
         raise ValueError("need m >= 1")
     u = 2 * m + 1
     groups = _polytope_groups(u)
-    axes = iter(range(2 * u))
-    coords: dict[int, tuple[Fraction, ...]] = {}
-    for group in groups:
-        units = [tuple(Fraction(int(j == i)) for j in range(2 * u))
-                 for i in islice(axes, len(group) - 1)]
-        coords.update(zip(group, units))
-        coords[group[-1]] = tuple(-sum(xs) for xs in zip(*units))
-
     complex_ = cc.join(*(cc.boundary_simplex(len(group) - 1) for group in groups))
     if set(missing_faces(complex_)) != set(map(frozenset, groups)):
         raise ValueError("missing faces are not exactly the three vertex groups")
-    emb = st.natural_embedding(complex_, coords)
+    emb = st.natural_embedding(complex_, _free_sum_coords(groups))
     return NamedSphere(f"polytope-{m}", complex_, natural_coords=emb)
 
 
@@ -310,8 +307,8 @@ def _cycle(n: int) -> NamedSphere:
 
 def _cross(d: int) -> NamedSphere:
     c = cross_polytope(d)
-    return NamedSphere(f"cross-{d}", c,
-                       natural_coords=st.natural_embedding(c, cross_polytope_coords(d)))
+    coords = _free_sum_coords([[2 * i - 1, 2 * i] for i in range(1, d + 1)])
+    return NamedSphere(f"cross-{d}", c, natural_coords=st.natural_embedding(c, coords))
 
 
 def _cyclejoin(n: int, m: int) -> NamedSphere:
@@ -324,9 +321,11 @@ def build_family(family: str, args: list[int]) -> NamedSphere:
     constructors = {"simplex": (_simplex, 1), "cycle": (_cycle, 1), "cross": (_cross, 1),
                     "K": (build_K, 2), "cyclejoin": (_cyclejoin, 2),
                     "polytope": (build_counterexample_polytope, 1)}
-    fn, arity = constructors.get(family, (None, None))
-    if fn is None or len(args) != arity:
-        raise ValueError(f"unknown family {family!r} with {len(args)} parameters")
+    if family not in constructors:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(constructors)}")
+    fn, arity = constructors[family]
+    if len(args) != arity:
+        raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(args)}")
     return fn(*args)
 
 

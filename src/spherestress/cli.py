@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Targets are catalog names, paths to JSON complex files, or "-" for
-stdin.  Exit codes: 0 success, 1 a verification check failed, 2 bad
-input (unknown name, unreadable or malformed file, bad arguments), 3 a
-degenerate embedding certificate failure, 4 an internal error (an
-unexpected exception, reported in one line on stderr).  All randomness
-flows from --seed, and identical invocations with identical seeds print
-byte-identical JSON.
+stdin.  ``main`` alone maps an exception to an exit code: 2 bad input
+(``ValueError`` or ``KeyError``: unknown name, unreadable or malformed
+file, bad arguments), 3 ``DegenerateEmbeddingError``, 4 any other (an
+internal error, reported in one line on stderr).  Otherwise 0 is
+success and 1 a failed verification check.  All randomness flows from
+--seed (stress, socle, verify); identical invocations with identical
+seeds print byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -25,17 +26,13 @@ from . import sequences as seqs
 from . import stress as st
 from . import verify as ver
 from .enumeration import g_vector, guaranteed_level_degree, invariants
-from .graphs import VERTEX_CAP, VertexCapExceeded, graph_of, independence_number, turan_bound
+from .graphs import VERTEX_CAP, graph_of, independence_number, turan_bound
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
-
-
-class CliInputError(Exception):
-    pass
 
 
 def _resolve_target(target: str) -> cat.NamedSphere:
@@ -48,15 +45,15 @@ def _resolve_target(target: str) -> cat.NamedSphere:
             with open(target, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliInputError(f"cannot read {target}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot read {target}: {exc.strerror or exc}") from exc
         source, default_name = f"facet file {target}", os.path.basename(target)
     else:
-        raise CliInputError(f"unknown complex name or file: {target!r}")
+        raise ValueError(f"unknown complex name or file: {target!r}")
     try:
         c, name, coords = cc.complex_from_json(text)
         emb = st.natural_embedding(c, coords) if coords else None
     except ValueError as exc:
-        raise CliInputError(f"malformed {source}: {exc}") from exc
+        raise ValueError(f"malformed {source}: {exc}") from exc
     return cat.NamedSphere(name or default_name, c, natural_coords=emb)
 
 
@@ -71,7 +68,7 @@ def _emit(doc, as_json: bool, human_lines):
 def _embedding_for(sphere: cat.NamedSphere, kind: str, seed: int) -> st.Embedding:
     if kind == "natural":
         if sphere.natural_coords is None:
-            raise CliInputError(f"{sphere.name} carries no natural coordinates")
+            raise ValueError(f"{sphere.name} carries no natural coordinates")
         return sphere.natural_coords
     return st.generic_embedding(sphere.complex, seed)
 
@@ -81,8 +78,8 @@ def _require_sphere(sphere: cat.NamedSphere) -> None:
     fails the GF(2) homology sphere test (a non-pure one raises
     ValueError there)."""
     if not cc.is_z2_homology_sphere(sphere.complex):
-        raise CliInputError(f"{sphere.name} is not a GF(2) homology sphere; "
-                            "stress and socle statements assume one")
+        raise ValueError(f"{sphere.name} is not a GF(2) homology sphere; "
+                         "stress and socle statements assume one")
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +126,13 @@ def cmd_info(args) -> int:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         names = cat.catalog_names()
-        if args.json:
-            print(json.dumps({"catalog": names}, sort_keys=True))
-        else:
-            for n in names:
-                print(n)
+        _emit({"catalog": names}, args.json, names)
         return EXIT_OK
     # build
     if not args.params:
-        raise CliInputError("catalog build needs a family and integer parameters")
+        raise ValueError("catalog build needs a family and integer parameters")
     family, params = args.params[0], [int(x) for x in args.params[1:]]
-    try:
-        sphere = cat.build_family(family, params)
-    except (ValueError, KeyError) as exc:
-        raise CliInputError(str(exc)) from exc
+    sphere = cat.build_family(family, params)
     coords = sphere.natural_coords.coords if sphere.natural_coords else None
     print(cc.complex_to_json(sphere.complex, name=sphere.name, coordinates=coords))
     return EXIT_OK
@@ -154,7 +144,7 @@ def cmd_stress(args) -> int:
     c, k = sphere.complex, args.degree
     spaces = st.StressSpaces(c, _embedding_for(sphere, args.embedding, args.seed))
     if k < 1:
-        raise CliInputError("stress spaces are computed for degree k >= 1")
+        raise ValueError("stress spaces are computed for degree k >= 1")
     if args.embedding == "generic":
         dim = st.certified_stress_dims(c, k, args.seed)
     else:
@@ -200,16 +190,13 @@ def cmd_seq(args) -> int:
     try:
         values = [int(x) for x in args.sequence.replace(",", " ").split()]
     except ValueError as exc:
-        raise CliInputError(f"sequence must be integers: {exc}") from exc
+        raise ValueError(f"sequence must be integers: {exc}") from exc
     if not values:
-        raise CliInputError("sequence must have at least one integer")
+        raise ValueError("sequence must have at least one integer")
     if args.action == "check-m":
         verdict = seqs.is_M_sequence(values)
     else:
-        try:
-            verdict = seqs.level_necessary_conditions(values)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        verdict = seqs.level_necessary_conditions(values)
     doc = {"sequence": values, "check": args.action, "holds": verdict.holds,
            "detail": verdict.detail}
     _emit(doc, args.json, [
@@ -222,10 +209,7 @@ def cmd_alpha(args) -> int:
     sphere = _resolve_target(args.target)
     g = graph_of(sphere.complex)
     bound = turan_bound(len(g.vertices), len(g.edges))
-    try:
-        alpha, witness = independence_number(g, cap=args.cap_vertices)
-    except VertexCapExceeded as exc:
-        raise CliInputError(str(exc)) from exc
+    alpha, witness = independence_number(g, cap=args.cap_vertices)
     doc = {"name": sphere.name, "alpha": alpha, "witness": sorted(witness),
            "turan_bound": f"{bound.numerator}/{bound.denominator}"}
     _emit(doc, args.json, [
@@ -238,49 +222,46 @@ def cmd_alpha(args) -> int:
 def cmd_s24(args) -> int:
     sphere = _resolve_target(args.target)
     c = sphere.complex
-    try:
-        if args.action == "reduce":
-            rep = s24.reduction_report(c)
-            doc = {
-                "name": sphere.name,
-                "trace": [[op, list(e)] for op, e in rep.trace],
-                "admissible_edges": sorted(sorted(e) for e in rep.admissible_edges),
-                "induced_gammas": [[sorted(w), list(sizes)] for w, sizes in rep.induced_gammas],
-                "reduced": rep.reduced,
-                "final_f0": len(rep.final.vertices),
-            }
-            _emit(doc, args.json, [
-                f"{sphere.name}: applied {len(rep.trace)} contraction(s); "
-                f"final complex has {len(rep.final.vertices)} vertices",
-                f"  admissible edges left: {doc['admissible_edges']}",
-                f"  induced two-empty-triangle joins: {doc['induced_gammas']}",
-                f"  reduced: {rep.reduced}",
-            ])
-            return EXIT_OK
-        if args.action == "verify":
-            g2, bound, holds = s24.verify_theorem_main_s24(c)
-            quarter = Fraction(len(c.vertices), 4)
-            doc = {"name": sphere.name, "g2": g2,
-                   "bound": f"{bound.numerator}/{bound.denominator}",
-                   "holds": holds, "quarter_holds": Fraction(g2) >= quarter}
-            _emit(doc, args.json, [
-                f"{sphere.name}: g_2 = {g2} vs (2/5) f_0 - 6/5 = {bound} : "
-                f"{'PASS' if holds else 'FAIL'}",
-                f"  g_2 >= f_0/4 = {quarter}: {'PASS' if Fraction(g2) >= quarter else 'FAIL'}",
-                "  note: the 8-vertex minimizer is unique in this class "
-                "(literature result, quoted not re-verified)",
-            ])
-            return EXIT_OK if holds else EXIT_CHECK_FAILED
-        # probe-nevo
-        g2, g1, p = s24.probe_nevo(c)
-        doc = {"name": sphere.name, "g2": g2, "g1": g1, "g2_ge_g1": p, "probe": True}
+    if args.action == "reduce":
+        rep = s24.reduction_report(c)
+        doc = {
+            "name": sphere.name,
+            "trace": [[op, list(e)] for op, e in rep.trace],
+            "admissible_edges": sorted(sorted(e) for e in rep.admissible_edges),
+            "induced_gammas": [[sorted(w), list(sizes)] for w, sizes in rep.induced_gammas],
+            "reduced": rep.reduced,
+            "final_f0": len(rep.final.vertices),
+        }
         _emit(doc, args.json, [
-            f"{sphere.name}: conjecture probe g_2 = {g2} vs g_1 = {g1}: "
-            f"{'consistent' if p else 'VIOLATED (report this complex!)'}",
+            f"{sphere.name}: applied {len(rep.trace)} contraction(s); "
+            f"final complex has {len(rep.final.vertices)} vertices",
+            f"  admissible edges left: {doc['admissible_edges']}",
+            f"  induced two-empty-triangle joins: {doc['induced_gammas']}",
+            f"  reduced: {rep.reduced}",
         ])
         return EXIT_OK
-    except s24.NotInS24 as exc:
-        raise CliInputError(str(exc)) from exc
+    if args.action == "verify":
+        g2, bound, holds = s24.verify_theorem_main_s24(c)
+        quarter = Fraction(len(c.vertices), 4)
+        doc = {"name": sphere.name, "g2": g2,
+               "bound": f"{bound.numerator}/{bound.denominator}",
+               "holds": holds, "quarter_holds": Fraction(g2) >= quarter}
+        _emit(doc, args.json, [
+            f"{sphere.name}: g_2 = {g2} vs (2/5) f_0 - 6/5 = {bound} : "
+            f"{'PASS' if holds else 'FAIL'}",
+            f"  g_2 >= f_0/4 = {quarter}: {'PASS' if Fraction(g2) >= quarter else 'FAIL'}",
+            "  note: the 8-vertex minimizer is unique in this class "
+            "(literature result, quoted not re-verified)",
+        ])
+        return EXIT_OK if holds else EXIT_CHECK_FAILED
+    # probe-nevo
+    g2, g1, p = s24.probe_nevo(c)
+    doc = {"name": sphere.name, "g2": g2, "g1": g1, "g2_ge_g1": p, "probe": True}
+    _emit(doc, args.json, [
+        f"{sphere.name}: conjecture probe g_2 = {g2} vs g_1 = {g1}: "
+        f"{'consistent' if p else 'VIOLATED (report this complex!)'}",
+    ])
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -293,13 +274,13 @@ def cmd_verify(args) -> int:
         families, chosen = list(ver.FAMILIES), list(ver.COUNTEREXAMPLES)
     else:
         if args.family and args.family not in ver.FAMILIES:
-            raise CliInputError(
+            raise ValueError(
                 f"unknown family {args.family!r}; choose from {sorted(ver.FAMILIES)}")
         families = [args.family] if args.family else []
         chosen = [args.counterexample] if args.counterexample else []
     counterexamples = [(ce, *params[ce]) for ce in chosen]
     if not families and not counterexamples:
-        raise CliInputError("verify needs --all, --family, or --counterexample")
+        raise ValueError("verify needs --all, --family, or --counterexample")
 
     report = ver.run_families(families, args.seed, counterexamples)
     if args.json:
@@ -333,6 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("target", help="catalog name, JSON file, or - for stdin")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add_embedding(sp):
+        sp.add_argument("--embedding", choices=["generic", "natural"], default="generic")
         sp.add_argument("--seed", type=int, default=17, help="seed for generic embeddings")
 
     sp = sub.add_parser("info", help="f/h/g/gamma vectors and class membership")
@@ -348,12 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stress", help="exact affine stress space basis and dimension")
     add_common(sp)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--embedding", choices=["generic", "natural"], default="generic")
+    add_embedding(sp)
     sp.add_argument("--basis", action="store_true", help="include the basis in the output")
 
     sp = sub.add_parser("socle", help="socle dimensions of the Artinian reduction")
     add_common(sp)
-    sp.add_argument("--embedding", choices=["generic", "natural"], default="generic")
+    add_embedding(sp)
 
     sp = sub.add_parser("seq", help="integer sequence tests")
     sp.add_argument("action", choices=["check-m", "check-level"])
@@ -394,9 +378,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except st.DegenerateEmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

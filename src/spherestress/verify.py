@@ -47,9 +47,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(r.holds for r in self.checks if not r.probe)
 
-    def extend(self, rows):
-        self.checks.extend(rows)
-
     def to_jsonable(self) -> dict:
         # runtimes are intentionally omitted: identical invocations with
         # identical seeds must produce byte-identical JSON
@@ -430,7 +427,7 @@ def run_families(families, seed: int, counterexamples=()) -> VerificationReport:
     report = VerificationReport(title="+".join(name for name, _ in runs))
     for name, rows in runs:
         t0 = time.perf_counter()
-        report.extend(rows())
+        report.checks.extend(rows())
         report.runtimes_ms[name] = 1000.0 * (time.perf_counter() - t0)
     # report order is fixed by statement id (then target), independent of
     # the order the checks were produced in

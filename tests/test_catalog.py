@@ -239,6 +239,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             ss.build_family("widget", [1])
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("widget", [1], "unknown family 'widget'; choose from "
+                        "['K', 'cross', 'cycle', 'cyclejoin', 'polytope', 'simplex']"),
+        ("K", [2], "family 'K' takes 2 parameter(s), got 1"),
+        ("cross", [], "family 'cross' takes 1 parameter(s), got 0"),
+    ])
+    def test_build_family_says_what_is_wrong(self, family, params, message):
+        with pytest.raises(ValueError) as exc:
+            ss.build_family(family, params)
+        assert str(exc.value) == message
+
     def test_expected_invariants_validated(self):
         # these names carry pinned invariants, and build checks them: a
         # wrong pinned entry makes it raise

@@ -490,6 +490,105 @@ class TestVerify:
         assert code == 2
 
 
+# Bad input of every kind: (argv, stdin, exit code, the one stderr line).
+# "{tmp}" stands for a scratch directory holding disk.json, a 2-ball.
+BAD_INPUT = [
+    (["info", "nosuch"], None, 2, "error: unknown complex name or file: 'nosuch'"),
+    (["info", "{tmp}"], None, 2, "error: cannot read {tmp}: Is a directory"),
+    (["info", "-"], "{broken", 2,
+     "error: malformed complex on stdin: malformed JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["s24", "reduce", "cross-4"], None, 2,
+     "error: expected a 4-dimensional complex, got dimension 3"),
+    (["s24", "verify", "boundary-simplex-5"], None, 2,
+     "error: missing faces of dimension 5 > 2"),
+    (["s24", "probe-nevo", "octahedron"], None, 2,
+     "error: expected a 4-dimensional complex, got dimension 2"),
+    (["alpha", "K-3-7", "--cap-vertices", "3"], None, 2,
+     "error: 11 vertices exceed the cap 3; use turan_bound for a lower bound"),
+    (["catalog", "build"], None, 2,
+     "error: catalog build needs a family and integer parameters"),
+    (["catalog", "build", "K", "2", "x"], None, 2,
+     "error: invalid literal for int() with base 10: 'x'"),
+    (["catalog", "build", "cross", "0"], None, 2, "error: need d >= 1"),
+    (["catalog", "build", "cyclejoin", "2", "3"], None, 2, "error: cycle needs n >= 3"),
+    (["verify"], None, 2, "error: verify needs --all, --family, or --counterexample"),
+    (["verify", "--counterexample", "level", "--u", "9"], None, 2,
+     "error: desk-scale cap: u <= 8"),
+    (["verify", "--all", "--m", "0"], None, 2, "error: need m >= 1"),
+    (["seq", "check-level", "0,1"], None, 2,
+     "error: level sequence test expects a sequence starting with 1"),
+    (["seq", "check-m", ""], None, 2, "error: sequence must have at least one integer"),
+    (["seq", "check-m", "1,x"], None, 2,
+     "error: sequence must be integers: invalid literal for int() with base 10: 'x'"),
+    (["stress", "octahedron", "--degree", "0"], None, 2,
+     "error: stress spaces are computed for degree k >= 1"),
+    (["stress", "K-2-4", "--degree", "2", "--embedding", "natural"], None, 2,
+     "error: K-2-4 carries no natural coordinates"),
+    (["stress", "{tmp}/disk.json", "--degree", "1"], None, 2,
+     "error: disk.json is not a GF(2) homology sphere; stress and socle statements "
+     "assume one"),
+]
+
+
+class TestOnePathFromBadInput:
+    @pytest.mark.parametrize("argv, stdin, code, line", BAD_INPUT,
+                             ids=[" ".join(row[0]) for row in BAD_INPUT])
+    def test_one_stderr_line_and_exit_code(self, argv, stdin, code, line, capsys,
+                                           monkeypatch, tmp_path):
+        (tmp_path / "disk.json").write_text('{"facets": [[1, 2, 3]]}')
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        got = run(capsys, *argv)
+        assert got == (code, "", line.replace("{tmp}", str(tmp_path)) + "\n")
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("argv", [("info", "octahedron"), ("alpha", "octahedron"),
+                                      ("s24", "verify", "K-2-4")])
+    def test_commands_without_randomness_reject_it(self, argv, capsys):
+        code, out, err = outcome(capsys, [*argv, "--seed", "5"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --seed 5" in err
+
+    @pytest.mark.parametrize("argv", [("stress", "octahedron", "--degree", "1"),
+                                      ("socle", "octahedron"),
+                                      ("verify", "--counterexample", "level")])
+    def test_embedding_commands_honour_it(self, argv, capsys, monkeypatch):
+        seeds, real = [], ss.stress.generic_embedding
+
+        def spy(c, seed):
+            seeds.append(seed)
+            return real(c, seed)
+        monkeypatch.setattr(ss.stress, "generic_embedding", spy)
+        assert run(capsys, *argv, "--seed", "5")[0] == 0
+        assert seeds and min(seeds) == 5
+
+
+# sha256 of ``s24 reduce NAME --json`` for every shipped sphere in S(2,4)
+S24_REDUCE_SHA256 = {
+    "K-2-4": "579356acaf12e3dde77b7617743cda973198db66c8668e74851df00b8b7962b8",
+    "cross-5": "19a848fa5fee5b9315a4f836cc985dc122899f3e1210dbb278176f00618de26e",
+    "cyclejoin-3-3": "726125d23545ecb59e3cf13e609dc94694b45fa55df8ed8c1ba061fa6311123b",
+    "cyclejoin-3-4": "cba7e4d6f0b61c47d1cad3bbd0386c4a3766863442b3eccf7a89b90f385558a4",
+    "cyclejoin-3-5": "aa91849469b2599cc001d0541e6645d36862696fd87e13c48ea38d535c78e7d0",
+    "cyclejoin-3-6": "a77da301201e3b34d8f70d4a9527f5aacad6a1a830040fd4d18f1482cf255aec",
+    "cyclejoin-4-4": "3549c8c125bbe2ed7c9f06713eaf1a90b819c68c2f0ecd6ed8fcbb715289b2ed",
+    "cyclejoin-4-5": "94f702c7ccdde8d16f6f688547f1ce04b8cc284138f524711d6ff87706441d50",
+    "cyclejoin-4-6": "afcf83725cabbaa66a6b8d1b2555ff6abbb503a0736f33c2141824935cd7b5ac",
+    "cyclejoin-5-5": "09f18676d361b30a9f8625b44c10f95aa7456d171716d57d8b43f54a6f667de0",
+    "cyclejoin-5-6": "467e9513f4f35027050f4a6c3c988099761e853b3c32b4b6b89de732c998e1f7",
+    "cyclejoin-6-6": "61e9a0b0661d8df2fbedac6cb0872a5468ccf2f57cefcbc1e07becf4f3d8c5a3",
+}
+
+
+def test_s24_reduce_bytes_are_pinned(capsys):
+    assert sorted(S24_REDUCE_SHA256) == sorted(ss.catalog.S24)
+    for name, digest in S24_REDUCE_SHA256.items():
+        code, out, _ = run(capsys, "s24", "reduce", name, "--json")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 @pytest.mark.slow
 class TestVerifyAll:
     def test_all_families_pass_and_ids_covered(self, capsys):
