@@ -86,6 +86,14 @@ class SparseRREF:
     def rank(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> "SparseRREF":
+        """An independent copy: inserting into either leaves the other
+        as it was."""
+        new = type(self)(self.modulus)
+        new.rows = {c: dict(row) for c, row in self.rows.items()}
+        new._col_rows = {c: set(pivots) for c, pivots in self._col_rows.items()}
+        return new
+
     def reduce(self, vec: dict) -> dict:
         """Return the residual of ``vec`` after eliminating all pivots;
         it is empty exactly when ``vec`` lies in the span of the rows."""
@@ -187,12 +195,18 @@ def to_modp(rows) -> list[dict] | None:
     return out
 
 
-def modp_rank(rows) -> int:
+def modp_rank(rows, stop: int | None = None) -> int:
     """Rank over GF(PRIME) of an iterable of rows over GF(PRIME) (ints in
     [0, PRIME)).  When the rows are the reduction of rational rows (see
-    ``to_modp``), it is a proven lower bound on their rank over Q."""
+    ``to_modp``), it is a proven lower bound on their rank over Q.
+
+    With ``stop``, the rows are inserted only until the rank reaches
+    it: the result is the rank when that is below ``stop``, and
+    ``stop`` otherwise, with the remaining rows not inserted."""
     rr = SparseRREF(modulus=PRIME)
     for row in rows:
+        if rr.rank == stop:
+            break
         rr.insert(row)
     return rr.rank
 

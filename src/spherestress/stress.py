@@ -30,20 +30,25 @@ degree d (Stanley 1996), so a degree above the middle is read off its
 mirror degree with no rows built (see ``StressSpaces.stresses``).  A
 kept kernel mod p bounds the rank of its derivative span from below,
 and the d+1 operator forms bound it from above, which together settle
-a socle (see ``StressSpaces.socle``).  Anything else (a non-sphere, a
-singular facet minor, a denominator divisible by p, a kernel mod p
-longer than the bound, a socle whose two bounds differ) is computed by
-exact elimination over Q, so a rank that drops mod p costs only time.
+a socle (see ``StressSpaces.socle``); the rank mod p stops as soon as
+it reaches the rank at which the two bounds meet.  Anything else (a
+non-sphere, a singular facet minor, a denominator divisible by p, a
+kernel mod p longer than the bound, a socle whose two bounds differ) is
+computed by exact elimination over Q, so a rank that drops mod p costs
+only time.
 
 Each embedding's coordinates are converted mod p once, where their
 denominators are: ``StressSpaces`` passes the theta forms through
 ``linalg.to_modp``, which refuses the embedding when a denominator is
 divisible by p.  The facet minors of the l.s.o.p. test and the operator
 rows mod p are built from the converted values (an entry mult * a is
-mult * a_p mod p), and the rows over Q only on the fallback.  This is
-sound for any p: a coordinate a/b with p not dividing b makes every
-entry mult * a/b p-integral, reduction mod p is a ring map on those
-entries, so the rows built mod p are the reduction of the rows over Q.
+mult * a_p mod p), and the rows over Q only on the fallback.  The
+minors are ranked on the prefix trie of the sorted facets, so facets
+that share their first vertices share the elimination of those rows
+(see ``_cohen_macaulay_h``).  This is sound for any p: a coordinate a/b
+with p not dividing b makes every entry mult * a/b p-integral,
+reduction mod p is a ring map on those entries, so the rows built mod p
+are the reduction of the rows over Q.
 Every vertex meets some column, so refusing a coordinate is at least as
 strict as refusing an entry.  A ``StressSpaces`` holds one embedding's
 converted forms, its lower bound, its stresses by degree and its socle,
@@ -266,15 +271,20 @@ def is_stress(c: SimplicialComplex, e: Embedding, omega: StressPolynomial) -> bo
 
 def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None) -> list[dict]:
     """Rows of the stacked operator matrix over the columns ``cols``: one
-    per (linear form, degree-(k-1) monomial) pair that some column hits.
-    The ``forms`` are ``theta_forms`` over Q, or their images mod ``p``
+    block of rows, one per linear form, for each degree-(k-1) monomial
+    that some column hits, with the empty rows dropped.  The ``forms``
+    are ``theta_forms`` over Q, or their images mod ``p``
     (``StressSpaces.forms_p``), and the entries mult * a are then
     reduced mod ``p``: the entrywise reduction of the rows over Q."""
-    rows: dict[tuple[int, Monomial], dict] = {}
+    blocks: dict[Monomial, list[dict]] = {}
     for ci, mu in enumerate(cols):
         for v, mult in _multiplicities(mu):
             nu = _remove_one(mu, v)
-            for j, form in enumerate(forms):
+            block = blocks.get(nu)
+            if block is None:
+                block = blocks[nu] = [{} for _ in forms]
+            # column ci meets the rows of block nu only through v = mu - nu
+            for row, form in zip(block, forms):
                 a = form.get(v)
                 if not a:
                     continue
@@ -284,9 +294,8 @@ def _operator_rows(forms: list[dict], cols: list[Monomial], p: int | None = None
                         a %= p
                         if not a:
                             continue
-                # column ci meets row (j, nu) only through v = mu - nu
-                rows.setdefault((j, nu), {})[ci] = a
-    return list(rows.values())
+                row[ci] = a
+    return [row for block in blocks.values() for row in block if row]
 
 
 def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding,
@@ -303,17 +312,35 @@ def _cohen_macaulay_h(c: SimplicialComplex, e: Embedding,
     Then A = Q[c]/(theta) has dim A_k = h_k (Stanley 1996), and the
     degree-k affine stresses, dual to A_k / omega A_{k-1} (Lee 1996),
     have dimension at least h_k - h_{k-1}.
+
+    The minors are ranked on the prefix trie of the sorted facets: each
+    distinct prefix gets one ``SparseRREF`` mod p, a copy of its
+    parent's with the coordinate row of its last vertex inserted, and
+    the test fails at the first insertion that does not raise the rank.
+    A facet's minor has rank d exactly when each of the d insertions
+    along its path raises the rank, so this is one rank per facet minor
+    with the shared prefixes eliminated once.
     """
     d = c.dim + 1
     if (forms_p is None or e.d != d or not c.is_pure()
             or not is_z2_homology_sphere(c)):
         return None
-    coordinate_forms = forms_p[:d]
-    for f in c.facets:
-        minor = [{j: form[v] for j, form in enumerate(coordinate_forms) if v in form}
-                 for v in f]
-        if linalg.modp_rank(minor) != d:
-            return None
+    rows = {v: {j: form[v] for j, form in enumerate(forms_p[:d]) if v in form}
+            for v in c.vertices}
+    # levels[i] eliminates the first i + 1 vertices of the current facet
+    levels: list[linalg.SparseRREF] = []
+    previous: list[int] = []
+    for f in sorted(map(sorted, c.facets)):
+        shared = 0
+        while shared < len(previous) and f[shared] == previous[shared]:
+            shared += 1
+        del levels[shared:]
+        for v in f[shared:]:
+            rr = levels[-1].copy() if levels else linalg.SparseRREF(modulus=linalg.PRIME)
+            if not rr.insert(rows[v]):
+                return None
+            levels.append(rr)
+        previous = f
     return h_vector(c)
 
 
@@ -446,16 +473,19 @@ class StressSpaces:
         max(dims_k - dims_1 * dims_{k+1}, 0): under a zero degree-(k+1)
         space, the whole degree.  When the bounds meet, that is the
         socle; every other socle is computed over Q, by
-        ``derivative_span_dim``.
+        ``derivative_span_dim``.  The rank mod p stops once it reaches
+        dims_k less the lower bound: it cannot pass it (rank_p <= rank_Q
+        <= dims_k - socle_k <= dims_k - lower), and from there the
+        upper bound equals the lower.
         """
         half = (self.complex.dim + 1) // 2
         dims = self.dims(range(half + 2))
         socle = []
         for k in range(half + 1):
             terms, over_q = self.stresses(k + 1)
-            upper = dims[k] - (0 if over_q else
-                               linalg.modp_rank(_derivatives(terms, linalg.PRIME)))
             lower = max(dims[k] - dims[1] * dims[k + 1], 0)
+            upper = dims[k] - (0 if over_q else linalg.modp_rank(
+                _derivatives(terms, linalg.PRIME), dims[k] - lower))
             socle.append(upper if upper == lower else dims[k] - self.derivative_span_dim(k))
         return socle
 

@@ -195,6 +195,30 @@ class TestInsertInvariants:
                 # after every insertion: once the rank is full, every row is a unit row
                 assert all(pc == max(row) for pc, row in rr.rows.items())
 
+    def test_copy_is_independent(self):
+        # a copy and its original each go on as if the other were not there
+        rng = random.Random(3)
+        for modulus in (None, 7):
+            rows = [{j: rng.randint(1, 6) for j in rng.sample(range(8), 3)}
+                    for _ in range(6)]
+            if modulus is None:
+                rows = [{j: Fraction(x) for j, x in row.items()} for row in rows]
+            rr = SparseRREF(modulus)
+            for row in rows[:3]:
+                rr.insert(row)
+            twin = rr.copy()
+            for row in rows[3:]:
+                twin.insert(row)
+            fresh = SparseRREF(modulus)
+            for row in rows:
+                fresh.insert(row)
+            alone = SparseRREF(modulus)
+            for row in rows[:3]:
+                alone.insert(row)
+            assert twin.modulus == modulus
+            assert (twin.rows, twin._col_rows) == (fresh.rows, fresh._col_rows)
+            assert (rr.rows, rr._col_rows) == (alone.rows, alone._col_rows)
+
 
 def reference_reduce(rr, vec):
     """The residual of ``vec`` by the rows of ``rr``, reduced mod p after
@@ -327,6 +351,28 @@ class TestModpCertificates:
         assert to_modp(rows[1:]) == [{1: 1}]
         assert to_modp([{0: Fraction(3, 2)}]) == [{}]  # 3/2 vanishes mod 3
         assert kernel_basis(rows, range(3)) == [{2: Fraction(1)}]
+
+    @settings(max_examples=150)
+    @given(small_matrices, hs.integers(0, 6))
+    def test_rank_stops_at_its_bound(self, matrix, stop):
+        # below the stop the true rank, otherwise the stop, and no row is
+        # inserted once the rank has reached it
+        rows_p = to_modp(as_rows(matrix))
+        rank = modp_rank(rows_p)
+        inserted = []
+
+        class Recording(SparseRREF):
+            def insert(self, vec):
+                inserted.append(vec)
+                return super().insert(vec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SparseRREF", Recording)
+            assert modp_rank(rows_p, stop) == min(rank, stop)
+        if rank >= stop:
+            # the last row inserted is the one that brought the rank to the stop
+            assert modp_rank(inserted) == stop
+            assert not inserted or modp_rank(inserted[:-1]) == stop - 1
 
     def test_short_rank_mod_p_falls_back(self, monkeypatch):
         monkeypatch.setattr(linalg, "PRIME", 3)

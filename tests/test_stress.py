@@ -603,6 +603,44 @@ class TestCohenMacaulayCertificate:
             assert numbers(spaces) == expected
             assert self.dims(c, e) == expected[0][1:]
 
+    @staticmethod
+    def check_minors(c, e, prime, monkeypatch):
+        """The prefix-trie verdict of ``_cohen_macaulay_h`` against each
+        facet's coordinate minor ranked on its own mod ``prime``."""
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        spaces = st.StressSpaces(c, e)
+        forms_p, d = spaces.forms_p, c.dim + 1
+        assert ss.is_z2_homology_sphere(c) and c.is_pure()
+        singular = forms_p is None or any(
+            linalg.modp_rank([{j: form[v] for j, form in enumerate(forms_p[:d]) if v in form}
+                              for v in f]) < d for f in c.facets)
+        assert (spaces.h is None) == singular
+        return singular
+
+    @settings(max_examples=200)
+    @given(hs.sampled_from(["boundary-simplex-3", "cycle-5", "octahedron", "cross-4",
+                            "K-2-4"]),
+           hs.sampled_from([2, 3, linalg.PRIME, 2 ** 61 - 1]), hs.data())
+    def test_facet_prefixes_rank_every_minor(self, name, prime, data):
+        # drawn as in test_matches_q_path, so singular minors are common
+        c = build(name).complex
+        d = c.dim + 1
+        dens = data.draw(hs.sampled_from([(1,), (1, 2), (1, 3), (1, 2, 3)]), label="dens")
+        coords = {v: tuple(data.draw(hs.lists(
+            hs.builds(Fraction, hs.integers(-2, 2), hs.sampled_from(dens)),
+            min_size=d, max_size=d), label=f"vertex {v}")) for v in c.vertices}
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_minors(c, Embedding(coords, d, "natural"), prime, mp)
+
+    def test_singular_facet_minor_on_the_last_level(self, monkeypatch):
+        # the singular octahedron of test_singular_facet_minor: only the
+        # last vertex of the first facet makes its minor singular
+        c = build("octahedron").complex
+        coords = dict(ss.generic_embedding(c, 1).coords)
+        a, b, v = sorted(min(c.facets, key=sorted))
+        coords[v] = tuple(x + y for x, y in zip(coords[a], coords[b]))
+        e = Embedding(coords, 3, "natural")
+        assert self.check_minors(c, e, linalg.PRIME, monkeypatch)
 
 
 # every catalog sphere the socle sweep ranks over Q, under seeds 1 and 7

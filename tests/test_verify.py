@@ -179,32 +179,37 @@ def test_stress_alone_ranks_only(calls):
 
 
 def test_facet_minors_ranked_once_per_sphere_and_seed(made, monkeypatch):
-    # each embedding's lower bound is checked once for all its degrees,
-    # so the l.s.o.p. check ranks each facet minor once per embedding:
-    # two seeds, and the octahedron's natural coordinates
-    minors = Counter()
+    # each embedding's lower bound is checked once for all its degrees:
+    # two seeds, and the octahedron's natural coordinates; the check
+    # ranks the facet minors on the prefix trie of the sorted facets, one
+    # coordinate row inserted per distinct prefix
+    checks, inserts = Counter(), Counter()
     checking = []  # (sphere name, seed) of the running l.s.o.p. check, or None
-    real_h, real_rank = st._cohen_macaulay_h, linalg.modp_rank
+    real_h, real_insert = st._cohen_macaulay_h, linalg.SparseRREF.insert
 
     def cohen_macaulay_h(c, e, *args):
         checking.append((made[id(c)][1], e.seed) if id(c) in made else None)
+        if checking[-1]:
+            checks[checking[-1]] += 1
         try:
             return real_h(c, e, *args)
         finally:
             checking.pop()
 
-    def modp_rank(rows):
+    def insert(rr, vec):
         if checking and checking[-1]:
-            minors[checking[-1]] += 1
-        return real_rank(rows)
+            inserts[checking[-1]] += 1
+        return real_insert(rr, vec)
 
     monkeypatch.setattr(st, "_cohen_macaulay_h", cohen_macaulay_h)
-    monkeypatch.setattr(linalg, "modp_rank", modp_rank)
+    monkeypatch.setattr(linalg.SparseRREF, "insert", insert)
     assert ver.run_families(["stress"], SEED).ok
-    facets = {name: len(cat.build(name).complex.facets) for name in SHRUNK}
-    assert minors == Counter({(name, seed): n for name, n in facets.items()
-                              for seed in (SEED, SEED + st.SECOND_SEED_OFFSET)}
-                             ) + Counter({("octahedron", None): facets["octahedron"]})
+    prefixes = {name: len({tuple(sorted(f))[:i] for f in cat.build(name).complex.facets
+                           for i in range(1, len(f) + 1)}) for name in SHRUNK}
+    runs = [(name, seed) for name in SHRUNK for seed in (SEED, SECOND)]
+    runs.append(("octahedron", None))
+    assert checks == Counter(runs)
+    assert inserts == Counter({run: prefixes[run[0]] for run in runs})
 
 
 def test_oracle_run_numbers_each_complex_once(monkeypatch):
